@@ -862,6 +862,20 @@ impl ShardedIngestEngine {
     }
 }
 
+/// The shard that owns `item` in an engine of `shards` workers: a
+/// multiply-shift of the avalanched hash, an unbiased map onto `0..shards`.
+/// Both engines' handles route through it, so every item lives on exactly one
+/// shard — which lets a temporal range fold concatenate shard reports without
+/// a combine, and lets restore reject a shard file holding another's items.
+#[inline]
+#[must_use]
+pub fn shard_of(item: u64, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
+    ((u128::from(splitmix64(item)) * shards as u128) >> 64) as usize
+}
+
 /// A producer-side handle: routes rows to shards by item hash and ships them in
 /// recycled [`RowBlock`]s over per-shard SPSC rings. Rows still in the handle's
 /// partial blocks are sent on drop (best-effort) or by [`flush`](Self::flush).
@@ -914,7 +928,7 @@ impl IngestHandle {
     /// full (the engine's backpressure).
     #[inline]
     pub fn offer(&mut self, item: u64) {
-        let shard = self.route(item);
+        let shard = shard_of(item, self.senders.len());
         if self.blocks[shard].push(item) {
             self.dispatch(shard);
         }
@@ -924,7 +938,7 @@ impl IngestHandle {
     /// row's dispatch with [`EngineError::ShardDown`] instead of panicking.
     #[inline]
     pub fn try_offer(&mut self, item: u64) -> Result<(), EngineError> {
-        let shard = self.route(item);
+        let shard = shard_of(item, self.senders.len());
         if self.blocks[shard].push(item) {
             self.try_dispatch(shard)?;
         }
@@ -977,15 +991,6 @@ impl IngestHandle {
             }
         }
         first_err
-    }
-
-    #[inline]
-    fn route(&self, item: u64) -> usize {
-        if self.senders.len() == 1 {
-            return 0;
-        }
-        // Multiply-shift of the avalanched hash: an unbiased map onto 0..shards.
-        ((u128::from(splitmix64(item)) * self.senders.len() as u128) >> 64) as usize
     }
 
     /// Sends the current block (recycling a spent one in its place), parking while

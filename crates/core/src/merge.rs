@@ -99,10 +99,12 @@ where
 /// entry list. Unbiasedness is immediate: the combine step is exact, and the
 /// one reduction preserves `E[post count] = pre count` for every item (Theorem
 /// 2 applied once), so the result estimates the same totals as the sequential
-/// fold — with one fewer layer of sampling noise, never more. This is the
-/// node-combine entry point used by the temporal dyadic range-merge ladder
-/// ([`crate::temporal`]): the pre-merged nodes selected for a range are
-/// combined here under the engine's salted snapshot-seed sequence.
+/// fold — with one fewer layer of sampling noise, never more. Use it when
+/// partitions may share items. Temporal range queries do not call it: each
+/// shard sums its span's reports and reduces them itself, and the engine
+/// concatenates the item-disjoint shard reports before one reduction (see
+/// [`crate::temporal`]), which is this fold minus a combine that would find
+/// nothing to merge.
 ///
 /// For a single partition that already fits `capacity` the result is
 /// bit-identical to [`fold_unbiased`] (both rebuild the entry list through the

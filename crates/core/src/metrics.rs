@@ -42,6 +42,7 @@
 //! | `uss_ladder_repaired_at_query_total` | counter | stream | ladder nodes built on the query path (missed idle repair) |
 //! | `uss_range_cache_hits_total` | counter | stream | merged-range cache hits |
 //! | `uss_range_cache_misses_total` | counter | stream | merged-range cache misses (fold performed) |
+//! | `uss_range_fold_entries_total` | counter | stream | entries fed to range-query folds: shard span pre-merges plus the engine fold |
 //!
 //! The server adds its own families (connection lifecycle, per-kind request
 //! counters and latency histograms, error frames by code); see
@@ -430,6 +431,12 @@ pub const CORE_FAMILIES: &[FamilyDesc] = &[
         kind: MetricKind::Counter,
         labels: &["stream"],
     },
+    FamilyDesc {
+        name: "uss_range_fold_entries_total",
+        help: "Entries fed to range-query folds (shard span pre-merges plus the engine fold).",
+        kind: MetricKind::Counter,
+        labels: &["stream"],
+    },
 ];
 
 /// One rendered sample: `name{labels}` plus its value, the unit both the
@@ -623,6 +630,10 @@ pub struct TemporalMetrics {
     pub range_cache_hits: Counter,
     /// Merged-range cache misses (full fold performed).
     pub range_cache_misses: Counter,
+    /// Entries fed to range-query folds: each shard span pre-merge's combined
+    /// list plus every report the engine folds. A shard span-memo hit adds no
+    /// pre-merge entries; a range-cache hit adds nothing.
+    pub range_fold_entries: Counter,
 }
 
 impl TemporalMetrics {
@@ -638,6 +649,7 @@ impl TemporalMetrics {
             ladder_repaired_at_query: Counter::new(),
             range_cache_hits: Counter::new(),
             range_cache_misses: Counter::new(),
+            range_fold_entries: Counter::new(),
         }
     }
 
@@ -690,6 +702,12 @@ impl TemporalMetrics {
             "uss_range_cache_misses_total",
             labels,
             self.range_cache_misses.get(),
+        );
+        push_sample(
+            out,
+            "uss_range_fold_entries_total",
+            labels,
+            self.range_fold_entries.get(),
         );
     }
 }

@@ -69,13 +69,23 @@
 //!
 //! Query decomposition is the classical dyadic one: any fine-bucket range
 //! `[start, end)` splits into O(log fine_buckets) maximal aligned nodes plus
-//! boundary leaves, and the shard additionally pre-merges the selected reports
-//! (nodes + leaves + overlapping tier/terminal buckets) into a **single**
-//! span report under span-derived seeds, memoized at the shard's applied-row
-//! watermark. The engine then folds one report per shard with
-//! [`crate::merge::fold_unbiased_multiway`] under its salted snapshot-seed
-//! sequence — so a wide-range query costs O(shards) merge work instead of
-//! O(shards · window), flat in the span width.
+//! boundary leaves. Each shard then pre-merges the selected reports (nodes +
+//! leaves + overlapping tier/terminal buckets) into a **single** span report:
+//! it sums them per item into a map pre-sized to their total entry count and
+//! hands that list straight to one [`crate::reduction::pps_reduce`] under a
+//! span-derived seed, so the report holds at most `capacity` entries. The
+//! report is memoized at the shard's applied-row watermark. The engine then
+//! folds the one-report-per-shard set without a combine: items are routed by
+//! [`crate::engine::shard_of`], so shard reports are item-disjoint and are
+//! simply concatenated, reduced once more by PPS under the engine's salted
+//! snapshot-seed sequence, and loaded into the answer sketch (whose load
+//! still checks finite counts, at most `capacity` entries and no duplicates;
+//! restore refuses a shard file holding another shard's items). A wide-range
+//! query therefore costs O(shards) merge work instead of O(shards · window),
+//! flat in the span width. Reducing at the shards as well as at the engine
+//! keeps the serial engine reduction at O(shards · capacity) entries and the
+//! memo at `capacity` entries per span; reducing only at the engine would
+//! grow both with the distinct items of the span.
 //!
 //! Statistically nothing changes: every ladder node is produced by the same
 //! Theorem-2 PPS reduction as a tier compaction, so `E[node count] = `true
@@ -130,17 +140,20 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use crate::engine::{EngineError, ShardFailure, ShardFault, ShardLink};
+use crate::engine::{shard_of, EngineError, ShardFailure, ShardFault, ShardLink};
 use crate::estimator::SketchSnapshot;
-use crate::hash::splitmix64;
+use crate::hash::{splitmix64, FxHashMap};
 use crate::metrics::{EngineMetrics, ShardMetrics, TemporalMetrics};
 use crate::spsc::{
     block_channel_with_counters, BlockReceiver, BlockSender, RowBlock, Waker, BLOCK_CAP,
 };
-use crate::merge::{fold_unbiased, fold_unbiased_multiway, FOLD_MERGE_SALT, FOLD_OUT_SALT};
+use crate::merge::{fold_unbiased, FOLD_MERGE_SALT, FOLD_OUT_SALT};
 use crate::persist::{self, PersistError};
 use crate::query::SnapshotSource;
+use crate::reduction::pps_reduce;
 use crate::space_saving::{UnbiasedSpaceSaving, WeightedSpaceSaving};
 use crate::traits::StreamSketch;
 
@@ -388,6 +401,32 @@ pub fn compact_fold(
     }
 }
 
+/// Folds item-disjoint reports — at most one per shard, so no item appears
+/// twice — into one weighted sketch: the lists are concatenated, reduced once
+/// by PPS under `merge_seed`, and loaded under `out_seed`. On disjoint inputs
+/// the exact combine of [`crate::merge::fold_unbiased_multiway`] would only
+/// rebuild the same list, so this is the same estimator with one hash pass
+/// fewer; the load still asserts finite counts, at most `capacity` entries
+/// and no duplicates.
+fn fold_disjoint(
+    capacity: usize,
+    merge_seed: u64,
+    out_seed: u64,
+    reports: Vec<BucketReport>,
+) -> WeightedSpaceSaving {
+    let mut entries = Vec::with_capacity(reports.iter().map(|r| r.entries.len()).sum());
+    let mut rows = 0u64;
+    for report in reports {
+        entries.extend(report.entries);
+        rows += report.rows;
+    }
+    let mut rng = StdRng::seed_from_u64(merge_seed);
+    let reduced = pps_reduce(entries, capacity, &mut rng);
+    let mut out = WeightedSpaceSaving::with_seed(capacity, out_seed);
+    out.load_entries(reduced, rows as f64);
+    out
+}
+
 /// One fine (still-ingesting) bucket: its index and full resumable sketch.
 #[derive(Debug, Clone)]
 struct FineBucket {
@@ -401,7 +440,6 @@ struct FineBucket {
 const LADDER_MERGE_SALT: u64 = 0xD1AD_1C00;
 const LADDER_OUT_SALT: u64 = 0xD1AD_1C01;
 const SPAN_MERGE_SALT: u64 = 0xD1AD_1C02;
-const SPAN_OUT_SALT: u64 = 0xD1AD_1C03;
 
 /// How many pre-merged span reports a store memoizes (keyed by the span and
 /// the applied-row watermark, so any ingest invalidates naturally). Matches
@@ -1173,8 +1211,9 @@ impl WindowedSketchStore {
     /// The shard-side indexed range answer: at most **one** report. Ranges
     /// touching a single retained bucket return it raw (flag `true` —
     /// byte-identical to the leaf path); anything wider is pre-merged through
-    /// the dyadic decomposition into a single span report under deterministic
-    /// span-derived seeds, memoized at the applied-row watermark.
+    /// the dyadic decomposition into a single span report — an exact per-item
+    /// sum reduced once by PPS under a deterministic span-derived seed —
+    /// memoized at the applied-row watermark.
     pub fn indexed_range_reports(&mut self, start: u64, end: u64) -> (Vec<BucketReport>, bool) {
         if start >= end {
             return (Vec::new(), true);
@@ -1191,16 +1230,22 @@ impl WindowedSketchStore {
         if reports.len() <= 1 {
             return (reports, raw);
         }
+        let total: usize = reports.iter().map(|r| r.entries.len()).sum();
+        let mut combined = FxHashMap::with_capacity_and_hasher(total, Default::default());
+        let mut rows = 0u64;
+        for report in reports {
+            rows += report.rows;
+            for (item, count) in report.entries {
+                *combined.entry(item).or_insert(0.0) += count;
+            }
+        }
+        let entries: Vec<(u64, f64)> = combined.into_iter().collect();
+        self.metrics.range_fold_entries.add(entries.len() as u64);
         let salt = splitmix64(start ^ end.rotate_left(32));
-        let merged = fold_unbiased_multiway(
-            self.config.capacity,
-            self.config.seed ^ SPAN_MERGE_SALT ^ salt,
-            self.config.seed ^ SPAN_OUT_SALT ^ salt,
-            reports.into_iter().map(|r| (r.entries, r.rows)),
-        );
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ SPAN_MERGE_SALT ^ salt);
         let report = BucketReport {
-            entries: merged.entries(),
-            rows: merged.rows_processed(),
+            entries: pps_reduce(entries, self.config.capacity, &mut rng),
+            rows,
         };
         self.span_memo.push_back(SpanMemo {
             start,
@@ -1218,7 +1263,8 @@ impl WindowedSketchStore {
     /// weighted sketch — the indexed counterpart of
     /// [`fold_range`](Self::fold_range), matching the engine's fold choice:
     /// a raw single-bucket answer uses the exact sequential fold, anything
-    /// pre-merged uses the one-reduction multiway fold.
+    /// pre-merged is reduced once more and loaded as the engine's disjoint
+    /// fold does for a one-shard engine.
     #[must_use]
     pub fn fold_range_indexed(
         &mut self,
@@ -1228,12 +1274,29 @@ impl WindowedSketchStore {
         out_seed: u64,
     ) -> WeightedSpaceSaving {
         let (reports, raw) = self.indexed_range_reports(start, end);
-        let parts = reports.into_iter().map(|r| (r.entries, r.rows));
         if raw {
+            let parts = reports.into_iter().map(|r| (r.entries, r.rows));
             fold_unbiased(self.config.capacity, merge_seed, out_seed, parts)
         } else {
-            fold_unbiased_multiway(self.config.capacity, merge_seed, out_seed, parts)
+            fold_disjoint(self.config.capacity, merge_seed, out_seed, reports)
         }
+    }
+
+    /// The first retained item — in a fine bucket, a tier or terminal bucket,
+    /// or a ladder node — for which `stray` holds.
+    fn find_item(&self, mut stray: impl FnMut(u64) -> bool) -> Option<u64> {
+        let fine = self
+            .fine
+            .iter()
+            .flat_map(|f| f.sketch.entries().into_iter().map(|(item, _)| item));
+        let buckets = self
+            .tiers
+            .iter()
+            .flatten()
+            .chain(&self.terminal)
+            .chain(self.ladder.levels.iter().flat_map(BTreeMap::values))
+            .flat_map(|b| b.entries.iter().map(|&(item, _)| item));
+        fine.chain(buckets).find(|&item| stray(item))
     }
 
     /// Rebuilds a store from persisted parts, rejecting images that violate the
@@ -1807,7 +1870,7 @@ impl TemporalIngestEngine {
     /// Folds the collected reports with the engine's salted snapshot seeds.
     /// Raw (leaf-path) report sets use the exact sequential fold — preserving
     /// every byte of the pre-ladder behaviour for single-bucket spans — while
-    /// pre-merged sets use the one-reduction multiway fold.
+    /// pre-merged sets (one report per shard) go through [`fold_disjoint`].
     fn fold_collected(&self, reports: Vec<BucketReport>, raw: bool) -> WeightedSpaceSaving {
         let n = self.snapshots.fetch_add(1, Ordering::Relaxed);
         let salt = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -1815,11 +1878,13 @@ impl TemporalIngestEngine {
         let capacity = self.config.window.capacity;
         let merge_seed = seed ^ FOLD_MERGE_SALT ^ salt;
         let out_seed = seed ^ FOLD_OUT_SALT ^ salt;
-        let parts = reports.into_iter().map(|r| (r.entries, r.rows));
+        let entries: usize = reports.iter().map(|r| r.entries.len()).sum();
+        self.temporal_metrics.range_fold_entries.add(entries as u64);
         if raw {
+            let parts = reports.into_iter().map(|r| (r.entries, r.rows));
             fold_unbiased(capacity, merge_seed, out_seed, parts)
         } else {
-            fold_unbiased_multiway(capacity, merge_seed, out_seed, parts)
+            fold_disjoint(capacity, merge_seed, out_seed, reports)
         }
     }
 
@@ -2067,8 +2132,9 @@ impl TemporalIngestEngine {
     /// # Errors
     ///
     /// [`PersistError::Io`] on filesystem failures, [`PersistError::Corrupt`]
-    /// (or the more specific decode errors) on damaged files or a `config`
-    /// that disagrees with the manifest.
+    /// (or the more specific decode errors) on damaged files, a `config`
+    /// that disagrees with the manifest, or a shard file holding an item that
+    /// [`shard_of`] routes to another shard.
     pub fn restore<P: AsRef<std::path::Path>>(
         dir: P,
         config: TemporalConfig,
@@ -2098,6 +2164,14 @@ impl TemporalIngestEngine {
             if file_meta != manifest.meta {
                 return Err(PersistError::Corrupt(format!(
                     "shard {shard} was written by a different engine than the manifest"
+                )));
+            }
+            // Range folds concatenate shard reports on the premise that no
+            // item lives on two shards; a file breaking it is corrupt.
+            if let Some(item) = store.find_item(|item| shard_of(item, config.shards) != shard) {
+                return Err(PersistError::Corrupt(format!(
+                    "shard {shard} holds item {item}, which routes to shard {}",
+                    shard_of(item, config.shards)
                 )));
             }
             rows += store.rows_processed();
@@ -2255,7 +2329,7 @@ impl TemporalIngestHandle {
     /// destination shard's ring is full (the engine's backpressure).
     #[inline]
     pub fn offer_at(&mut self, item: u64, ts: u64) {
-        let shard = self.route(item);
+        let shard = shard_of(item, self.senders.len());
         if self.blocks[shard].push((item, ts)) {
             self.dispatch(shard);
         }
@@ -2266,7 +2340,7 @@ impl TemporalIngestHandle {
     /// panicking.
     #[inline]
     pub fn try_offer_at(&mut self, item: u64, ts: u64) -> Result<(), EngineError> {
-        let shard = self.route(item);
+        let shard = shard_of(item, self.senders.len());
         if self.blocks[shard].push((item, ts)) {
             self.try_dispatch(shard)?;
         }
@@ -2319,15 +2393,6 @@ impl TemporalIngestHandle {
             }
         }
         first_err
-    }
-
-    #[inline]
-    fn route(&self, item: u64) -> usize {
-        if self.senders.len() == 1 {
-            return 0;
-        }
-        // The same multiply-shift routing as the non-temporal IngestHandle.
-        ((u128::from(splitmix64(item)) * self.senders.len() as u128) >> 64) as usize
     }
 
     /// Advances the enqueue counters for an outgoing block and returns it.
@@ -3110,6 +3175,34 @@ mod tests {
         assert_eq!(reports.iter().map(|r| r.rows).sum::<u64>(), 2);
         let folded = s.fold_range_indexed(0, u64::MAX, 1, 2);
         assert_eq!(folded.rows_processed(), 2);
+    }
+
+    #[test]
+    fn find_item_visits_fine_tier_terminal_and_ladder_entries() {
+        // 2 fine buckets, one tier of factor 2: item 100+b of bucket b ends
+        // in the terminal bucket [0, 2), tier bucket [2, 3) or fine 3 and 4.
+        let mut s = store(1, 2, 1, 2);
+        for b in 0u64..5 {
+            s.offer_at(100 + b, b);
+        }
+        assert!(s.terminal_bucket().is_some() && s.tier_buckets(0).len() == 1);
+        for b in 0u64..5 {
+            assert_eq!(s.find_item(|item| item == 100 + b), Some(100 + b), "bucket {b}");
+        }
+        assert_eq!(s.find_item(|item| item == 7), None);
+        // A ladder node is the only place an item may hide from the leaves.
+        let mut s = store(1, 8, 1, 2);
+        for ts in 0u64..8 {
+            s.offer_at(ts, ts);
+        }
+        let mut node = s.ladder_node_fold(
+            0,
+            2,
+            [0u64, 1].iter().filter_map(|&b| s.leaf_report(b)).collect(),
+        );
+        node.entries[0].0 = 999;
+        s.attach_ladder(vec![(1, node)]).unwrap();
+        assert_eq!(s.find_item(|item| item == 999), Some(999));
     }
 
     #[test]

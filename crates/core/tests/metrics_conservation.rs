@@ -188,6 +188,45 @@ fn temporal_counters_match_a_designed_stream_exactly() {
 }
 
 #[test]
+fn range_fold_entries_count_exactly_what_each_fold_takes_in() {
+    // 3 shards, capacity 64; items 0..40 once in each of buckets 0..=5, so no
+    // sketch evicts and every shard holds its routed items in every bucket.
+    // Whatever the routing, the shards' distinct items sum to D = 40:
+    //   - [1, 3) is two unaligned leaves per shard: each shard pre-merges its
+    //     d_s distinct items (sum D), the engine folds the D-entry
+    //     concatenation -> 2D on a cache miss;
+    //   - the same range again: a range-cache hit folds nothing;
+    //   - range_snapshot bypasses the cache but hits every shard's span memo,
+    //     so only the engine fold counts -> D;
+    //   - one bucket is a raw report per shard; only the engine fold counts
+    //     its D entries.
+    const D: u64 = 40;
+    let engine = TemporalIngestEngine::new(
+        TemporalConfig::new(3, 64, 5, 10, 8).with_batch_rows(64),
+    );
+    let mut handle = engine.handle();
+    for b in 0..6u64 {
+        for item in 0..D {
+            handle.offer_at(item, b * 10);
+        }
+    }
+    handle.flush();
+    let folded = &engine.temporal_metrics().range_fold_entries;
+    let span = TimeRange::Between { start: 10, end: 30 };
+    assert_eq!(folded.get(), 0);
+    let first = engine.range_capture(&span);
+    assert_eq!(first.rows_processed(), 2 * D);
+    assert_eq!(folded.get(), 2 * D, "shard pre-merges plus the engine fold");
+    let _ = engine.range_capture(&span);
+    assert_eq!(folded.get(), 2 * D, "a cache hit folds nothing");
+    let _ = engine.range_snapshot(&span);
+    assert_eq!(folded.get(), 3 * D, "span memo hits leave only the engine fold");
+    let _ = engine.range_snapshot(&TimeRange::Between { start: 50, end: 60 });
+    assert_eq!(folded.get(), 4 * D, "a raw single-bucket fold");
+    let _ = engine.finish();
+}
+
+#[test]
 fn checkpoint_counters_match_the_files_on_disk() {
     let dir = scratch_dir("ckpt");
     let engine = TemporalIngestEngine::new(TemporalConfig::new(2, 32, 5, 10, 8));

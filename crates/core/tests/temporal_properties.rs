@@ -7,7 +7,8 @@
 
 use std::sync::Arc;
 
-use uss_core::engine::{EngineConfig, ShardedIngestEngine};
+use uss_core::engine::{shard_of, EngineConfig, ShardedIngestEngine};
+use uss_core::persist::{self, PersistError};
 use uss_core::query::{Query, QueryAnswer, QueryServer, QueryServerConfig, SnapshotSource};
 use uss_core::temporal::{
     compact_fold, BucketReport, TemporalConfig, TemporalIngestEngine, TimeRange, WindowConfig,
@@ -396,6 +397,121 @@ fn checkpoint_restore_continue_matches_an_uninterrupted_run_exactly() {
     )
     .is_err());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn restore_rejects_an_item_checkpointed_on_the_wrong_shard() {
+    // Range folds concatenate shard reports, trusting that every item lives
+    // on the shard `shard_of` routes it to. A checksum-valid checkpoint whose
+    // shard 0 holds one extra row is re-written below, its manifest row count
+    // kept consistent: with an item that routes to shard 0 it restores; with
+    // one that routes to shard 1 it is refused as corrupt.
+    let dir = std::env::temp_dir().join(format!("uss-misroute-ckpt-{}", std::process::id()));
+    let config = TemporalConfig::new(2, 32, 21, 5, 8).with_batch_rows(64);
+    let rows: Vec<(u64, u64)> = (0..3_000u64).map(|i| (i % 90, i / 50)).collect();
+    let engine = TemporalIngestEngine::new(config);
+    let mut handle = engine.handle();
+    handle.offer_batch_at(&rows);
+    handle.flush();
+    drop(handle);
+    let _ = engine.range_snapshot(&TimeRange::All); // checkpoint a built ladder too
+    engine.checkpoint(&dir).unwrap();
+    let _ = engine.finish();
+
+    let shard0 = dir.join(TemporalIngestEngine::shard_file_name(0));
+    let manifest_path = dir.join(TemporalIngestEngine::MANIFEST_FILE);
+    let pristine_shard = std::fs::read(&shard0).unwrap();
+    let pristine_manifest = std::fs::read(&manifest_path).unwrap();
+    let add_row_to_shard0 = |item: u64| {
+        let (index, meta, mut store) = persist::decode_temporal_shard(&pristine_shard).unwrap();
+        // A fresh bucket, so the row cannot lose a full sketch's eviction draw.
+        store.offer_at(item, store.last_time() + 5);
+        persist::write_file(&shard0, &persist::encode_temporal_shard_indexed(index, meta, &store))
+            .unwrap();
+        let mut manifest = persist::decode_temporal_manifest(&pristine_manifest).unwrap();
+        manifest.rows += 1;
+        persist::write_file(&manifest_path, &persist::encode_temporal_manifest(&manifest))
+            .unwrap();
+    };
+    let owned_by = |shard: usize| (10_000u64..).find(|&i| shard_of(i, 2) == shard).unwrap();
+
+    add_row_to_shard0(owned_by(0));
+    let restored = TemporalIngestEngine::restore(&dir, config).unwrap();
+    assert_eq!(restored.rows_enqueued(), 3_001);
+    let _ = restored.finish();
+
+    let stray = owned_by(1);
+    add_row_to_shard0(stray);
+    match TemporalIngestEngine::restore(&dir, config) {
+        Err(PersistError::Corrupt(msg)) => {
+            assert!(msg.contains(&format!("item {stray}")), "{msg}");
+            assert!(msg.contains("routes to shard 1"), "{msg}");
+        }
+        other => panic!("a misrouted item must be corrupt, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn multi_shard_wide_range_answers_are_exact_in_rows_and_mass_and_unbiased() {
+    // Three shards, each lossy (capacity 32 against ~50 distinct items per
+    // bucket per shard), queried over 10 buckets: every shard pre-merges its
+    // span and the engine reduces the concatenated shard reports once more.
+    // Rows and total mass must be exact for every seed; across 60 seeds the
+    // hot item's estimate must be unbiased (|z| < 4) and the 95% SubsetSum
+    // interval must cover the truth in at least 90% of them.
+    let rows = hot_item_stream(12, 300, 2, 10, 30);
+    let (lo, hi) = (1u64, 11u64);
+    let in_range = |b: u64| (lo..hi).contains(&b);
+    let range_rows = rows.iter().filter(|&&(_, b)| in_range(b)).count() as u64;
+    let hot_truth = 8.0 * 30.0;
+    let subset: Vec<u64> = (100..175).collect();
+    let subset_truth = rows
+        .iter()
+        .filter(|&&(item, b)| in_range(b) && subset.binary_search(&item).is_ok())
+        .count() as f64;
+    let range = TimeRange::Between { start: lo, end: hi };
+    let seeds = 60u64;
+    let mut estimates = Vec::with_capacity(seeds as usize);
+    let mut covered = 0u64;
+    for seed in 0..seeds {
+        let config = TemporalConfig::new(3, 32, seed, 1, 16).with_batch_rows(64);
+        let engine = TemporalIngestEngine::new(config);
+        let mut handle = engine.handle();
+        handle.offer_batch_at(&rows);
+        handle.flush();
+        drop(handle);
+        let folded = engine.range_snapshot(&range);
+        assert_eq!(folded.rows_processed(), range_rows, "seed {seed}");
+        assert!(folded.retained_len() <= 32);
+        let mass: f64 = folded.entries().iter().map(|&(_, c)| c).sum();
+        assert!(
+            (mass - range_rows as f64).abs() < 1e-9 * range_rows as f64,
+            "seed {seed}: mass {mass} vs rows {range_rows}"
+        );
+        estimates.push(folded.estimate(7));
+        let server = QueryServer::new(engine.range_source(range), QueryServerConfig::new());
+        let r = server.execute(&Query::SubsetSum { items: subset.clone() });
+        assert_eq!(r.rows, range_rows);
+        let QueryAnswer::Estimate { ci, .. } = r.answer else {
+            panic!("subset sum must answer with an estimate")
+        };
+        covered += u64::from(ci.contains(subset_truth));
+        drop(server);
+        let _ = engine.finish();
+    }
+    let n = estimates.len() as f64;
+    let mean = estimates.iter().sum::<f64>() / n;
+    let var = estimates.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    let z = (mean - hot_truth) / (var / n).sqrt().max(1e-9);
+    assert!(
+        z.abs() < 4.0,
+        "multi-shard range bias: mean {mean} vs truth {hot_truth} (z = {z:.2})"
+    );
+    assert!(
+        covered * 10 >= seeds * 9,
+        "95% interval covered the truth in only {covered} of {seeds} seeds"
+    );
 }
 
 /// A cheap deterministic mixer for "random" interleavings without an RNG dep.
