@@ -235,6 +235,11 @@ fn main() {
     let _ = writeln!(json, "  \"rows\": {},", opts.rows);
     let _ = writeln!(json, "  \"bins\": {},", opts.bins);
     let _ = writeln!(json, "  \"shards\": {},", opts.shards);
+    let _ = writeln!(
+        json,
+        "  \"cores\": {},",
+        std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
+    );
     let _ = writeln!(json, "  \"reps\": {},", opts.reps);
     let _ = writeln!(json, "  \"seed\": {},", opts.seed);
     let _ = writeln!(json, "  \"snapshot_frame_bytes\": {},", snap_bytes.len());

@@ -11,8 +11,8 @@ use uss_core::persist::TemporalMeta;
 use uss_core::{Query, QueryAnswer, TimeRange};
 
 use crate::wire::{
-    read_frame, write_frame, ErrorCode, MarginalEntry, Request, Response, ServerStats, StreamInfo,
-    WireError, MAX_PAYLOAD,
+    encode_ingest, read_frame, write_frame, ErrorCode, MarginalEntry, Request, Response,
+    ServerStats, StreamInfo, WireError, MAX_PAYLOAD,
 };
 
 /// Rows per `Ingest` frame when a batch is auto-chunked: 8 MiB of rows, half
@@ -143,7 +143,11 @@ impl SketchClient {
     }
 
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &request.encode()).map_err(|err| classify(err, "write"))?;
+        self.call_frame(&request.encode())
+    }
+
+    fn call_frame(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
+        write_frame(&mut self.stream, frame).map_err(|err| classify(err, "write"))?;
         let (kind, payload) = read_frame(&mut self.stream).map_err(|err| classify(err, "read"))?;
         let response = Response::decode(kind, &payload)?;
         if let Response::Error { code, message } = response {
@@ -204,11 +208,7 @@ impl SketchClient {
     pub fn ingest(&mut self, name: &str, rows: &[(u64, u64)]) -> Result<u64, ClientError> {
         let mut total = 0u64;
         for chunk in rows.chunks(INGEST_CHUNK_ROWS.max(1)) {
-            let request = Request::Ingest {
-                name: name.to_string(),
-                rows: chunk.to_vec(),
-            };
-            match self.call(&request)? {
+            match self.call_frame(&encode_ingest(name, chunk))? {
                 Response::Ingested { rows } => total += rows,
                 other => return Err(unexpected(&other)),
             }

@@ -78,7 +78,9 @@
 
 use std::io::{Read, Write};
 
-use uss_core::persist::{crc64, PayloadReader, PayloadWriter, PersistError, TemporalMeta};
+use uss_core::persist::{
+    crc64, crc64_update, PayloadReader, PayloadWriter, PersistError, TemporalMeta,
+};
 use uss_core::{HistogramSnapshot, Query, QueryAnswer, SubsetEstimate, TimeRange};
 use uss_core::variance::ConfidenceInterval;
 
@@ -413,18 +415,9 @@ fn header_array<const N: usize>(slice: &[u8]) -> [u8; N] {
     out
 }
 
-fn encode_frame(kind: u8, payload: Vec<u8>) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.push(kind);
-    out.push(0);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc64(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+fn seal(w: PayloadWriter, kind: u8) -> Vec<u8> {
+    debug_assert!(w.len() <= MAX_PAYLOAD);
+    w.seal(MAGIC, PROTOCOL_VERSION, kind)
 }
 
 /// Validates a 16-byte frame header, returning `(kind, payload_len)`.
@@ -503,17 +496,17 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<(u8, Vec<u8>), WireError> {
     let mut header = [0u8; HEADER_LEN];
     reader.read_exact(&mut header)?;
     let (kind, len) = check_header(&header)?;
-    let mut rest = vec![0u8; len + CHECKSUM_LEN];
-    reader.read_exact(&mut rest)?;
-    let mut body = Vec::with_capacity(HEADER_LEN + len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&rest[..len]);
-    let expected = u64::from_le_bytes(header_array(&rest[len..]));
-    if crc64(&body) != expected {
+    // Payload and trailer land in one buffer; the checksum runs over the
+    // header and the payload in place, then the trailer is cut off.
+    let mut payload = vec![0u8; len + CHECKSUM_LEN];
+    reader.read_exact(&mut payload)?;
+    let (body, trailer) = payload.split_at(len);
+    let expected = u64::from_le_bytes(header_array(trailer));
+    if crc64_update(crc64(&header), body) != expected {
         return Err(WireError::BadChecksum);
     }
-    body.drain(..HEADER_LEN);
-    Ok((kind, body))
+    payload.truncate(len);
+    Ok((kind, payload))
 }
 
 /// Writes one already-encoded frame to a socket-like writer.
@@ -931,6 +924,26 @@ fn read_server_stats(r: &mut PayloadReader<'_>) -> Result<ServerStats, WireError
 
 // ----- request codec -----
 
+fn write_ingest(w: &mut PayloadWriter, name: &str, rows: &[(u64, u64)]) {
+    w.reserve(4 + name.len() + 8 + rows.len() * 16);
+    write_name(w, name);
+    w.u64(rows.len() as u64);
+    for &(item, ts) in rows {
+        w.u64(item);
+        w.u64(ts);
+    }
+}
+
+/// Encodes an `Ingest` request frame straight from borrowed rows —
+/// byte-identical to [`Request::encode`] of the same [`Request::Ingest`],
+/// without first copying the rows into an owned request.
+#[must_use]
+pub fn encode_ingest(name: &str, rows: &[(u64, u64)]) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    write_ingest(&mut w, name, rows);
+    seal(w, KIND_INGEST)
+}
+
 impl Request {
     /// Encodes this request as one complete frame, ready to write to a socket.
     #[must_use]
@@ -945,12 +958,7 @@ impl Request {
             }
             Self::ListStreams => KIND_LIST_STREAMS,
             Self::Ingest { name, rows } => {
-                write_name(&mut w, name);
-                w.u64(rows.len() as u64);
-                for &(item, ts) in rows {
-                    w.u64(item);
-                    w.u64(ts);
-                }
+                write_ingest(&mut w, name, rows);
                 KIND_INGEST
             }
             Self::Query {
@@ -982,7 +990,7 @@ impl Request {
             Self::Shutdown => KIND_SHUTDOWN,
             Self::Stats => KIND_STATS,
         };
-        encode_frame(kind, w.into_bytes())
+        seal(w, kind)
     }
 
     /// Decodes a request from a frame's kind byte and payload, totally: any
@@ -1102,7 +1110,7 @@ impl Response {
                 KIND_ERROR
             }
         };
-        encode_frame(kind, w.into_bytes())
+        seal(w, kind)
     }
 
     /// Decodes a response from a frame's kind byte and payload, totally.
@@ -1236,9 +1244,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn request_round_trips() {
-        let requests = vec![
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Ping,
             Request::CreateStream {
                 name: "clicks".into(),
@@ -1264,16 +1271,19 @@ mod tests {
             },
             Request::Shutdown,
             Request::Stats,
-        ];
-        for request in requests {
+        ]
+    }
+
+    #[test]
+    fn request_round_trips() {
+        for request in sample_requests() {
             let frame = request.encode();
             assert_eq!(decode_request_frame(&frame).unwrap(), request);
         }
     }
 
-    #[test]
-    fn response_round_trips() {
-        let responses = vec![
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Pong {
                 protocol: PROTOCOL_VERSION,
             },
@@ -1314,10 +1324,95 @@ mod tests {
                 code: ErrorCode::UnknownStream,
                 message: "no such stream".into(),
             },
-        ];
-        for response in responses {
+        ]
+    }
+
+    #[test]
+    fn response_round_trips() {
+        for response in sample_responses() {
             let frame = response.encode();
             assert_eq!(decode_response_frame(&frame).unwrap(), response);
+        }
+    }
+
+    #[test]
+    fn borrowed_ingest_encoding_is_byte_identical() {
+        for rows in [vec![], vec![(1, 10)], (0..1000).map(|i| (i * 7, i)).collect()] {
+            let owned = Request::Ingest {
+                name: "clicks".into(),
+                rows: rows.clone(),
+            };
+            assert_eq!(encode_ingest("clicks", &rows), owned.encode());
+        }
+    }
+
+    /// A reader that hands out at most 1–7 bytes per `read` call, cycling,
+    /// the way a socket may split a frame anywhere.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.step = self.step % 7 + 1;
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn dribble(bytes: &[u8]) -> Result<(u8, Vec<u8>), WireError> {
+        read_frame(&mut Dribble { bytes, step: 0 })
+    }
+
+    fn sample_frames() -> Vec<Vec<u8>> {
+        let requests = sample_requests().into_iter().map(|r| r.encode());
+        requests.chain(sample_responses().iter().map(Response::encode)).collect()
+    }
+
+    #[test]
+    fn read_frame_under_short_reads_matches_decode_frame() {
+        for frame in sample_frames() {
+            let (kind, payload) = dribble(&frame).unwrap();
+            let (want_kind, want_payload) = decode_frame(&frame).unwrap();
+            assert_eq!((kind, payload.as_slice()), (want_kind, want_payload));
+        }
+    }
+
+    #[test]
+    fn read_frame_rejects_every_bit_flip_and_cut() {
+        for frame in sample_frames() {
+            for byte in 0..frame.len() {
+                for bit in 0..8 {
+                    let mut bad = frame.clone();
+                    bad[byte] ^= 1 << bit;
+                    // Only a flipped length field may promise more bytes than
+                    // follow, which surfaces as an end-of-stream read.
+                    match dribble(&bad) {
+                        Err(
+                            WireError::BadMagic
+                            | WireError::UnsupportedVersion(_)
+                            | WireError::UnknownKind(_)
+                            | WireError::Oversized(_)
+                            | WireError::BadChecksum,
+                        ) => {}
+                        Err(WireError::Io(err))
+                            if err.kind() == std::io::ErrorKind::UnexpectedEof
+                                && (8..16).contains(&byte) => {}
+                        other => panic!("byte {byte} bit {bit}: {other:?}"),
+                    }
+                }
+            }
+            for cut in 0..frame.len() {
+                match dribble(&frame[..cut]) {
+                    Err(WireError::Io(err)) => {
+                        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+                    }
+                    other => panic!("cut at {cut}: {other:?}"),
+                }
+            }
         }
     }
 
