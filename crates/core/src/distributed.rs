@@ -12,8 +12,8 @@
 //! with queries *during* the stream, use [`crate::engine::ShardedIngestEngine`]
 //! directly.
 
-use crate::engine::{fold_reports, EngineConfig, ShardReport, ShardedIngestEngine};
-use crate::merge::{FOLD_MERGE_SALT, FOLD_OUT_SALT};
+use crate::engine::{EngineConfig, ShardedIngestEngine};
+use crate::merge::{fold_unbiased, FOLD_MERGE_SALT, FOLD_OUT_SALT};
 use crate::query::{QueryServer, QueryServerConfig};
 use crate::space_saving::{UnbiasedSpaceSaving, WeightedSpaceSaving};
 use crate::traits::StreamSketch;
@@ -93,14 +93,13 @@ impl DistributedSketcher {
     where
         I: IntoIterator<Item = UnbiasedSpaceSaving>,
     {
-        fold_reports(
+        fold_unbiased(
             self.capacity,
             self.seed ^ FOLD_MERGE_SALT,
             self.seed ^ FOLD_OUT_SALT,
-            sketches.into_iter().map(|sketch| ShardReport {
-                entries: sketch.entries(),
-                rows: sketch.rows_processed(),
-            }),
+            sketches
+                .into_iter()
+                .map(|sketch| (sketch.entries(), sketch.rows_processed())),
         )
     }
 
@@ -170,9 +169,9 @@ impl DistributedSketcher {
                     )))
                 }
             };
-            reports.push(ShardReport { entries, rows });
+            reports.push((entries, rows));
         }
-        Ok(fold_reports(
+        Ok(fold_unbiased(
             self.capacity,
             self.seed ^ FOLD_MERGE_SALT,
             self.seed ^ FOLD_OUT_SALT,

@@ -55,6 +55,7 @@
 //! | [`reduction`] | thresholding vs PPS-subsampling reduction operations (section 5.3) |
 //! | [`merge`] | biased Misra-Gries merge and the unbiased PPS merge (section 5.5) |
 //! | [`engine`] | the concurrent sharded ingest engine: multi-producer block ingestion into live, queryable worker shards folded with the unbiased merge |
+//! | `shard` | (crate-private) the shard runtime both ingest engines run on: handles, worker loop, quiesce cuts, checkpoint fan-out |
 //! | [`metrics`] | lock-free runtime telemetry: cache-padded counters/gauges, log₂ histograms, the deterministic [`Clock`](metrics::Clock) trait, and the static metric-family registry |
 //! | [`spsc`] | lock-free single-producer/single-consumer block rings — the engines' ingest transport |
 //! | [`query`] | the concurrent query-serving layer: epoch-versioned cached snapshots over a live engine or sketch, typed queries with variance and confidence intervals |
@@ -82,6 +83,7 @@ pub mod metrics;
 pub mod persist;
 pub mod query;
 pub mod reduction;
+mod shard;
 pub mod space_saving;
 pub mod spsc;
 pub mod stream_summary;

@@ -30,7 +30,7 @@
 //! | `uss_ring_producer_parks_total` | counter | stream, shard | producer parks while waiting for ring space |
 //! | `uss_ring_consumer_wakes_total` | counter | stream, shard | consumer unparks actually performed by producers |
 //! | `uss_ring_occupancy_high_water` | gauge | stream, shard | max observed blocks queued in any of the shard's rings |
-//! | `uss_sketch_memory_bytes` | gauge | stream, shard | high-water resident bytes of the shard's sketch |
+//! | `uss_sketch_memory_bytes` | gauge | stream, shard | high-water resident bytes of the shard's sketch or bucket store, sampled at quiesce |
 //! | `uss_checkpoint_bytes_total` | counter | stream | bytes durably written by checkpoints (shards + manifest) |
 //! | `uss_checkpoint_frames_total` | counter | stream | checkpoint files durably written |
 //! | `uss_checkpoint_failures_total` | counter | stream | per-shard checkpoint write failures |
@@ -361,7 +361,7 @@ pub const CORE_FAMILIES: &[FamilyDesc] = &[
     },
     FamilyDesc {
         name: "uss_sketch_memory_bytes",
-        help: "High-water resident bytes of the shard's sketch.",
+        help: "High-water resident bytes of the shard's sketch or bucket store.",
         kind: MetricKind::Gauge,
         labels: &["stream", "shard"],
     },
@@ -511,7 +511,8 @@ pub struct ShardMetrics {
     pub rows: Counter,
     /// Blocks applied by the shard worker.
     pub blocks: Counter,
-    /// High-water resident bytes of the shard's sketch.
+    /// High-water resident bytes of the shard's sketch or bucket store, sampled at
+    /// every quiesce.
     pub sketch_memory: Gauge,
     /// Ring telemetry shared with every producer ring to this shard.
     pub ring: Arc<RingCounters>,

@@ -188,6 +188,36 @@ fn temporal_counters_match_a_designed_stream_exactly() {
 }
 
 #[test]
+fn temporal_sketch_memory_gauge_matches_each_store() {
+    // The memory gauge is a high-water mark sampled at every quiesce: here the
+    // range capture and finish's shutdown. With no ingest after the capture,
+    // a store only grows (idle ladder builds), so the high-water equals the
+    // final store's resident bytes exactly.
+    let engine = TemporalIngestEngine::new(
+        TemporalConfig::new(2, 64, 21, 10, 8).with_batch_rows(128),
+    );
+    let mut handle = engine.handle();
+    for i in 0..10_000u64 {
+        handle.offer_at(i % 700, i / 100);
+    }
+    handle.flush();
+    let _ = engine.range_capture(&TimeRange::All);
+    let metrics = Arc::clone(engine.metrics());
+    for (id, shard) in metrics.shards.iter().enumerate() {
+        assert!(shard.rows.get() > 0, "shard {id} applied no rows");
+        assert!(shard.sketch_memory.get() > 0, "shard {id}: gauge unset after quiesce");
+    }
+    let stores = engine.finish_stores();
+    for (id, (shard, store)) in metrics.shards.iter().zip(&stores).enumerate() {
+        assert_eq!(
+            shard.sketch_memory.get(),
+            store.memory_bytes(),
+            "shard {id}: gauge vs store"
+        );
+    }
+}
+
+#[test]
 fn range_fold_entries_count_exactly_what_each_fold_takes_in() {
     // 3 shards, capacity 64; items 0..40 once in each of buckets 0..=5, so no
     // sketch evicts and every shard holds its routed items in every bucket.
