@@ -308,6 +308,10 @@ fn render_json(opts: &Options, rows: usize, results: &[Measurement]) -> String {
     out.push_str(&format!("  \"distinct_items\": {},\n", opts.items));
     out.push_str(&format!("  \"bins\": {},\n", opts.bins));
     out.push_str(&format!("  \"shards\": {},\n", opts.shards));
+    out.push_str(&format!(
+        "  \"cores\": {},\n",
+        std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
+    ));
     out.push_str(&format!("  \"readers\": {},\n", opts.readers));
     out.push_str(&format!("  \"producers\": {},\n", opts.producers));
     out.push_str(&format!("  \"queries_per_reader\": {},\n", opts.queries));

@@ -18,7 +18,7 @@
 //!   where surviving tail bins are Horvitz-Thompson adjusted to the threshold `τ`.
 
 use rand::Rng;
-use uss_sampling::{pps_inclusion_probabilities, SplittingSampler};
+use uss_sampling::{pps_inclusion_probability, pps_threshold, SplittingSampler};
 
 /// Soft-thresholds `entries` so that at most `target` survive, exactly as the
 /// Misra-Gries merge of Agarwal et al. (2013): subtract the `(target+1)`-th largest
@@ -59,8 +59,15 @@ pub fn threshold_reduce(entries: &mut Vec<(u64, f64)>, target: usize) -> f64 {
 /// adjustment). The output therefore satisfies
 /// `E[post-reduction count_i] = pre-reduction count_i` for every item — the condition
 /// of Theorem 2 — while the total mass is preserved in expectation as well.
+///
+/// At most `target` entries come back, so the result always loads into a
+/// `target`-capacity sketch: the design's expected size is `target` to within 1e-9
+/// even when the counts span twelve orders of magnitude (see
+/// [`uss_sampling::pps_threshold`]), and the pivotal sampler realises an integer
+/// expected size exactly. Known-answer pins on the output bits live in
+/// `crates/core/tests/pps_kernel.rs` and `crates/sampling/tests/kernel_pins.rs`.
 pub fn pps_reduce<R: Rng + ?Sized>(
-    entries: Vec<(u64, f64)>,
+    mut entries: Vec<(u64, f64)>,
     target: usize,
     rng: &mut R,
 ) -> Vec<(u64, f64)> {
@@ -70,24 +77,24 @@ pub fn pps_reduce<R: Rng + ?Sized>(
     if target == 0 {
         return Vec::new();
     }
-    let counts: Vec<f64> = entries.iter().map(|(_, c)| *c).collect();
-    let design = pps_inclusion_probabilities(&counts, target);
-    let included = SplittingSampler::new().sample(&design.inclusion_probabilities, rng);
-    let tau = design.threshold;
+    let mut probs: Vec<f64> = entries.iter().map(|&(_, count)| count).collect();
+    let tau = pps_threshold(&probs, target);
+    for p in &mut probs {
+        *p = pps_inclusion_probability(*p, tau);
+    }
+    let included = SplittingSampler::new().sample(&probs, rng);
+    // Compact the kept entries to the front in place. Every entry is written and the
+    // cursor advances only past kept ones, so the loop has no branch on the random
+    // outcome; `kept <= i`, so no entry is overwritten before it is read.
+    let mut kept = 0;
+    for i in 0..entries.len() {
+        let (item, count) = entries[i];
+        entries[kept] = (item, if count >= tau { count } else { tau });
+        kept += usize::from(included[i]);
+    }
+    entries.truncate(kept);
+    entries.shrink_to(target);
     entries
-        .into_iter()
-        .zip(included)
-        .filter_map(|((item, count), keep)| {
-            if !keep {
-                return None;
-            }
-            if count >= tau {
-                Some((item, count))
-            } else {
-                Some((item, tau))
-            }
-        })
-        .collect()
 }
 
 /// Sums per-item counts of two entry lists (the "exact increment" half of a merge).

@@ -175,3 +175,60 @@ fn pps_reduce_known_answers() {
         .collect();
     assert!(drift.is_empty(), "pps_reduce output drifted:\n{}", drift.join("\n"));
 }
+
+/// 49 entries, each either `heavy` or uniform in `[0.1, 4)`. With `heavy = 1e12` the
+/// threshold's tail sum `total − head_sum` once cancelled: the design's `Σπ` came out
+/// near 47.0015 instead of 47, and `pps_reduce` could return 48 entries.
+fn cancellation_case(heavy: f64, rng: &mut StdRng) -> Entries {
+    (0..49u64)
+        .map(|item| {
+            let count = if rng.gen_bool(0.5) { heavy } else { rng.gen_range(0.1..4.0) };
+            (item, count)
+        })
+        .collect()
+}
+
+#[test]
+fn pps_reduce_never_exceeds_target_when_counts_span_twelve_orders() {
+    let target = 47;
+    let mut rng = StdRng::seed_from_u64(47);
+    for heavy in [1e6, 1e9, 1e12] {
+        for _ in 0..3_000 {
+            let entries = cancellation_case(heavy, &mut rng);
+            let counts: Vec<f64> = entries.iter().map(|&(_, c)| c).collect();
+            let positives = counts.iter().filter(|&&c| c > 0.0).count();
+            let size = uss_sampling::pps_inclusion_probabilities(&counts, target)
+                .expected_sample_size();
+            assert!(
+                (size - target.min(positives) as f64).abs() <= 1e-9 * target as f64,
+                "heavy {heavy:e}: design size {size} for target {target}"
+            );
+            let reduced = pps_reduce(entries, target, &mut rng);
+            assert!(reduced.len() <= target, "heavy {heavy:e}: {} entries", reduced.len());
+        }
+    }
+}
+
+/// The same family through the public weighted sketch API: two sketches offered
+/// disjoint items, merged with `merge_from`, must load the reduced entries without
+/// overflowing capacity.
+#[test]
+fn weighted_merge_survives_counts_spanning_twelve_orders() {
+    use uss_core::space_saving::WeightedSpaceSaving;
+    use uss_core::{MergeableSketch, StreamSketch, WeightedStreamSketch};
+    let mut rng = StdRng::seed_from_u64(4_747);
+    for trial in 0..2_000u64 {
+        let entries = cancellation_case(1e12, &mut rng);
+        let mut a = WeightedSpaceSaving::with_seed(47, trial);
+        let mut b = WeightedSpaceSaving::with_seed(47, trial ^ 1);
+        for (i, &(item, weight)) in entries.iter().enumerate() {
+            if i % 2 == 0 {
+                a.offer_weighted(item, weight);
+            } else {
+                b.offer_weighted(item, weight);
+            }
+        }
+        a.merge_from(&b);
+        assert!(a.entries().len() <= 47);
+    }
+}

@@ -35,7 +35,9 @@ pub mod systematic;
 
 pub use bottom_k::BottomKSketch;
 pub use horvitz_thompson::{ht_estimate, ht_variance_upper_bound, HorvitzThompsonSample};
-pub use pps::{pps_inclusion_probabilities, pps_threshold, PpsDesign};
+pub use pps::{
+    pps_inclusion_probabilities, pps_inclusion_probability, pps_threshold, PpsDesign,
+};
 pub use priority::{PrioritySample, PrioritySketch};
 pub use reservoir::{ReservoirK, ReservoirOne};
 pub use splitting::SplittingSampler;

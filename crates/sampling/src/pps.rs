@@ -43,47 +43,96 @@ impl PpsDesign {
 /// probability 1 and the returned threshold is `0.0`. Weights must be non-negative;
 /// zero weights always receive inclusion probability 0 and do not count toward `m`.
 ///
-/// Runs in `O(n log n)` by sorting weights descending and sweeping the boundary between
-/// the "certainty" prefix and the proportional tail.
+/// Runs in `O(n log n)`: one integer sort of the `n` positive weights, then `O(n)`
+/// sums and an `O(m)` sweep of the boundary between the "certainty" prefix and the
+/// proportional tail. The sort needs no float comparisons: for positive finite
+/// `f64`s the IEEE-754 layout (sign 0, then biased exponent, then mantissa) makes
+/// `a < b` exactly when `a.to_bits() < b.to_bits()`, so sorting the complemented bit
+/// patterns ascending orders the weights descending. Every sum is then taken in that
+/// descending order, so `τ` is bit-for-bit what a float comparison sort would give.
+///
+/// `τ` divides a tail sum that the sweep forms as `total − head_sum`. When the certainty
+/// head dwarfs the tail (counts spanning about 1e12), that subtraction cancels, the
+/// design's `Σπ` misses `m` (47.0015 for `m = 47` in one case), and the pivotal sampler
+/// can then pick `m + 1` items. The chosen tail is therefore re-summed directly. If the design it implies misses `m` by more than
+/// 1e-9, the sweep is redone on direct suffix sums. Without cancellation the sums
+/// agree to rounding and the sweep's `τ` stands.
 ///
 /// # Panics
 ///
 /// Panics if any weight is negative or non-finite.
 #[must_use]
 pub fn pps_threshold(weights: &[f64], m: usize) -> f64 {
+    let mut keys: Vec<u64> = Vec::with_capacity(weights.len());
     for &w in weights {
         assert!(w.is_finite() && w >= 0.0, "weights must be finite and non-negative");
+        if w > 0.0 {
+            keys.push(!w.to_bits());
+        }
     }
-    let mut sorted: Vec<f64> = weights.iter().copied().filter(|&w| w > 0.0).collect();
-    if sorted.is_empty() || m == 0 {
+    if keys.is_empty() || m == 0 {
         return f64::INFINITY;
     }
-    if m >= sorted.len() {
+    if m >= keys.len() {
         return 0.0;
     }
-    // `total_cmp` agrees with `partial_cmp` on the (asserted finite) weights, and only
-    // the sorted values are read below, so the faster unstable sort is byte-identical.
-    sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+    keys.sort_unstable();
+    let sorted = |i: usize| f64::from_bits(!keys[i]);
 
     // Suppose the k largest weights are taken with certainty. The remaining n-k items
-    // must contribute m-k expected inclusions: τ = (Σ_{i>k} x_i) / (m - k). The choice
-    // of k is valid when sorted[k-1] >= τ > sorted[k] (with sorted[-1] = ∞).
-    let total: f64 = sorted.iter().sum();
+    // must contribute m-k expected inclusions: τ = (Σ_{i>k} x_i) / (m - k).
+    let total: f64 = keys.iter().map(|&key| f64::from_bits(!key)).sum();
     let mut head_sum = 0.0;
-    for k in 0..m {
-        let tail_sum = total - head_sum;
-        let tau = tail_sum / (m - k) as f64;
-        let head_ok = if k == 0 { true } else { sorted[k - 1] >= tau };
-        let tail_ok = sorted[k] < tau || (sorted[k] - tau).abs() < f64::EPSILON * tau.max(1.0);
-        if head_ok && tail_ok {
-            return tau;
+    let mut summed = 0;
+    let (k, tail_sum, tau) = sweep(&sorted, m, |k| {
+        for i in summed..k {
+            head_sum += sorted(i);
         }
-        head_sum += sorted[k];
+        summed = k;
+        total - head_sum
+    });
+    // The design's expected size is k + direct/τ, so it misses m by
+    // (m - k)·(direct - tail_sum)/tail_sum. In exact arithmetic some k < m always
+    // qualifies, so a sweep that ran off the end was misled by rounding.
+    let direct: f64 = (k..keys.len()).rev().map(sorted).sum();
+    if k < m && (direct - tail_sum).abs() * (m - k) as f64 <= MAX_SIZE_MISS * tail_sum {
+        return tau;
     }
-    // Fallback: all of the first m-1 items are certainties; the threshold is set by the
-    // remaining tail.
-    let tail_sum = total - head_sum;
-    tail_sum / 1.0
+    let mut suffix = vec![0.0; keys.len() + 1];
+    for i in (0..keys.len()).rev() {
+        suffix[i] = suffix[i + 1] + sorted(i);
+    }
+    sweep(&sorted, m, |k| suffix[k]).2
+}
+
+/// Largest miss `|Σπ − m|` that [`pps_threshold`] leaves in place. The pivotal
+/// sampler turns a design of size `m + δ` into `m + 1` picks with probability about
+/// `δ`. Rounding alone keeps the miss near `1e-12` even for `m` in the thousands;
+/// a larger miss means `total − head_sum` cancelled, and `τ` is recomputed from direct
+/// suffix sums.
+const MAX_SIZE_MISS: f64 = 1e-9;
+
+/// The boundary sweep behind [`pps_threshold`]: returns `(k, tail_sum, τ)` for the
+/// first `k < m` with `sorted(k-1) ≥ τ > sorted(k)` (with `sorted(-1) = ∞`), where
+/// `τ = tail(k) / (m - k)`. `tail` is called with `k = 0, 1, 2, …` in order. If no
+/// `k` qualifies (only rounding can cause that), all of the first `m` items are
+/// certainties and the threshold is the remaining tail, `tail(m)`.
+fn sweep(
+    sorted: &impl Fn(usize) -> f64,
+    m: usize,
+    mut tail: impl FnMut(usize) -> f64,
+) -> (usize, f64, f64) {
+    for k in 0..m {
+        let tail_sum = tail(k);
+        let tau = tail_sum / (m - k) as f64;
+        let head_ok = k == 0 || sorted(k - 1) >= tau;
+        let tail_ok = sorted(k) < tau || (sorted(k) - tau).abs() < f64::EPSILON * tau.max(1.0);
+        if head_ok && tail_ok {
+            return (k, tail_sum, tau);
+        }
+    }
+    let tail_sum = tail(m);
+    (m, tail_sum, tail_sum)
 }
 
 /// Computes the full thresholded PPS design (threshold plus per-item inclusion
@@ -93,19 +142,25 @@ pub fn pps_inclusion_probabilities(weights: &[f64], m: usize) -> PpsDesign {
     let tau = pps_threshold(weights, m);
     let probs = weights
         .iter()
-        .map(|&w| {
-            if w <= 0.0 || tau.is_infinite() {
-                0.0
-            } else if tau <= 0.0 {
-                1.0
-            } else {
-                (w / tau).min(1.0)
-            }
-        })
+        .map(|&w| pps_inclusion_probability(w, tau))
         .collect();
     PpsDesign {
         threshold: tau,
         inclusion_probabilities: probs,
+    }
+}
+
+/// The inclusion probability `min{w/τ, 1}` of one weight under the threshold `τ`
+/// returned by [`pps_threshold`]: 0 for a zero weight or an infinite threshold, 1 for
+/// a zero threshold. [`pps_inclusion_probabilities`] maps it over the weights.
+#[must_use]
+pub fn pps_inclusion_probability(weight: f64, threshold: f64) -> f64 {
+    if weight <= 0.0 || threshold.is_infinite() {
+        0.0
+    } else if threshold <= 0.0 {
+        1.0
+    } else {
+        (weight / threshold).min(1.0)
     }
 }
 
@@ -142,9 +197,84 @@ pub fn proportional_inclusion_probabilities(weights: &[f64], m: usize) -> Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
+    }
+
+    /// The threshold solver before its sort-free rewrite, verbatim: a float
+    /// comparison sort, then the same sums and sweep. Kept as the oracle that the
+    /// rewrite must match bit for bit (outside the cancellation fallback).
+    fn oracle_pps_threshold(weights: &[f64], m: usize) -> f64 {
+        for &w in weights {
+            assert!(w.is_finite() && w >= 0.0, "weights must be finite and non-negative");
+        }
+        let mut sorted: Vec<f64> = weights.iter().copied().filter(|&w| w > 0.0).collect();
+        if sorted.is_empty() || m == 0 {
+            return f64::INFINITY;
+        }
+        if m >= sorted.len() {
+            return 0.0;
+        }
+        sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+        let total: f64 = sorted.iter().sum();
+        let mut head_sum = 0.0;
+        for k in 0..m {
+            let tail_sum = total - head_sum;
+            let tau = tail_sum / (m - k) as f64;
+            let head_ok = if k == 0 { true } else { sorted[k - 1] >= tau };
+            let tail_ok =
+                sorted[k] < tau || (sorted[k] - tau).abs() < f64::EPSILON * tau.max(1.0);
+            if head_ok && tail_ok {
+                return tau;
+            }
+            head_sum += sorted[k];
+        }
+        let tail_sum = total - head_sum;
+        tail_sum / 1.0
+    }
+
+    /// Weights whose partial sums are all exact (integers and dyadic fractions of
+    /// moderate size), mixed with zeros and ties, so no tail sum can cancel.
+    fn exact_weights() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(
+            (0u32..5, 1u32..100_000).prop_map(|(kind, v)| match kind {
+                0 => 0.0,
+                1 => 1.0,
+                2 => 0.25,
+                3 => f64::from(v),
+                _ => f64::from(v % 4_096) / 64.0,
+            }),
+            0..300,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The integer-sort threshold equals the float-sort oracle bit for bit.
+        #[test]
+        fn threshold_matches_oracle_bits(weights in exact_weights(), m in 0usize..320) {
+            prop_assert_eq!(
+                pps_threshold(&weights, m).to_bits(),
+                oracle_pps_threshold(&weights, m).to_bits()
+            );
+        }
+
+        /// Also on general fractional weights, where the sweep's subtraction rounds.
+        /// With `n ≤ 400` weights in `[1, 4)` the design misses `m` by at most about
+        /// `n²·ε·4 < 1e-10`, so the cancellation fallback cannot fire.
+        #[test]
+        fn fractional_threshold_matches_oracle_bits(
+            weights in proptest::collection::vec(1.0f64..4.0, 1..400),
+            m in 1usize..400,
+        ) {
+            prop_assert_eq!(
+                pps_threshold(&weights, m).to_bits(),
+                oracle_pps_threshold(&weights, m).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -243,6 +373,22 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_weight_panics() {
         let _ = pps_threshold(&[1.0, -2.0], 1);
+    }
+
+    #[test]
+    fn design_size_survives_cancellation_in_the_tail_sum() {
+        // Heavy weights of 1e12 next to a tail of a few units: `total − head_sum`
+        // cancels (the sweep's tail sum is 78.2578125 against a true 78.2594), and
+        // without the direct-sum fallback the design's Σπ misses m = 12 by 4e-5.
+        let mut w: Vec<f64> = (1..40)
+            .map(|i| 0.1 + (f64::from(i) * 0.618_033_988_749_894_9).fract() * 3.9)
+            .collect();
+        w.extend(std::iter::repeat_n(1e12, 10));
+        for m in [12, 30, 47] {
+            let design = pps_inclusion_probabilities(&w, m);
+            let miss = (design.expected_sample_size() - m as f64).abs();
+            assert!(miss <= 1e-9 * m as f64, "m {m}: design size misses by {miss:e}");
+        }
     }
 
     #[test]

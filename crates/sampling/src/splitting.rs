@@ -26,9 +26,17 @@ impl SplittingSampler {
 
     /// Draws inclusion indicators with the given marginal inclusion probabilities.
     ///
-    /// Probabilities must lie in `[0, 1]`. Coordinates equal to 0 or 1 are honoured
-    /// exactly. If the probabilities sum to an integer `k`, exactly `k` indicators are
-    /// set (up to floating-point rounding of the final active coordinate).
+    /// Probabilities must lie in `[0, 1]`. Coordinates within `1e-12` of 0 or 1 are
+    /// resolved to 0 or 1 exactly. If the probabilities sum to an integer `k`, exactly
+    /// `k` indicators are set (up to floating-point rounding of the final active
+    /// coordinate).
+    ///
+    /// One pass over the coordinates carries a single active coordinate `(index,
+    /// probability)` and confronts it with each unresolved coordinate in turn. The
+    /// draw contract, which fixes every output bit for a given RNG state: exactly one
+    /// `gen_bool` per confrontation, in index order, plus one for the active
+    /// coordinate left over at the end (a non-integer total mass); degenerate
+    /// coordinates draw nothing.
     ///
     /// # Panics
     ///
@@ -38,6 +46,88 @@ impl SplittingSampler {
         inclusion_probabilities: &[f64],
         rng: &mut R,
     ) -> Vec<bool> {
+        const EPS: f64 = 1e-12;
+        let mut included = vec![false; inclusion_probabilities.len()];
+        // The active coordinate and its current probability, always in (EPS, 1).
+        let mut carry: Option<(usize, f64)> = None;
+        for (i, &pi) in inclusion_probabilities.iter().enumerate() {
+            assert!(
+                pi.is_finite() && (0.0..=1.0).contains(&pi),
+                "inclusion probabilities must lie in [0, 1]"
+            );
+            if pi >= 1.0 - EPS {
+                included[i] = true;
+                continue;
+            }
+            if pi <= EPS {
+                continue;
+            }
+            let Some((j, pj)) = carry else {
+                carry = Some((i, pi));
+                continue;
+            };
+            let sum = pi + pj;
+            carry = if sum < 1.0 {
+                // One of the two is pushed to 0; the other absorbs the mass.
+                // P(i survives) = pi / sum.
+                if rng.gen_bool((pi / sum).clamp(0.0, 1.0)) {
+                    Some((i, sum))
+                } else {
+                    Some((j, sum))
+                }
+            } else {
+                // One of the two is pushed to 1; the other keeps the excess.
+                // P(j is pushed to 1) = (1 - pi) / (2 - sum).
+                let denom = 2.0 - sum;
+                let p_j_one = if denom <= EPS {
+                    0.5
+                } else {
+                    ((1.0 - pi) / denom).clamp(0.0, 1.0)
+                };
+                let (one, rest) = if rng.gen_bool(p_j_one) {
+                    (j, i)
+                } else {
+                    (i, j)
+                };
+                included[one] = true;
+                let residual = sum - 1.0;
+                (residual > EPS).then_some((rest, residual))
+            };
+        }
+        // A final unresolved coordinate (non-integer total mass) is resolved by a
+        // Bernoulli draw with its residual probability, which lies in (EPS, 1).
+        if let Some((j, pj)) = carry {
+            included[j] = rng.gen_bool(pj);
+        }
+        included
+    }
+
+    /// Draws a fixed-size PPS sample of expected size `m` from `weights` by first
+    /// computing the thresholded PPS design and then applying the pivotal splitting.
+    /// Returns inclusion indicators aligned with `weights` plus the design used.
+    pub fn sample_pps<R: Rng + ?Sized>(
+        &self,
+        weights: &[f64],
+        m: usize,
+        rng: &mut R,
+    ) -> (Vec<bool>, crate::PpsDesign) {
+        let design = crate::pps::pps_inclusion_probabilities(weights, m);
+        let included = self.sample(&design.inclusion_probabilities, rng);
+        (included, design)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The sampler before its one-pass rewrite, verbatim: a validation pass, a
+    /// degenerate-resolution pass, then the pivotal pass over a copied probability
+    /// vector. The oracle the rewrite must match draw for draw.
+    fn oracle_sample<R: Rng + ?Sized>(inclusion_probabilities: &[f64], rng: &mut R) -> Vec<bool> {
         for &p in inclusion_probabilities {
             assert!(
                 p.is_finite() && (0.0..=1.0).contains(&p),
@@ -125,26 +215,43 @@ impl SplittingSampler {
         included
     }
 
-    /// Draws a fixed-size PPS sample of expected size `m` from `weights` by first
-    /// computing the thresholded PPS design and then applying the pivotal splitting.
-    /// Returns inclusion indicators aligned with `weights` plus the design used.
-    pub fn sample_pps<R: Rng + ?Sized>(
-        &self,
-        weights: &[f64],
-        m: usize,
-        rng: &mut R,
-    ) -> (Vec<bool>, crate::PpsDesign) {
-        let design = crate::pps::pps_inclusion_probabilities(weights, m);
-        let included = self.sample(&design.inclusion_probabilities, rng);
-        (included, design)
+    /// Probability vectors mixing exact 0 and 1, values within 1e-12 of either,
+    /// dyadic pairs that sum to exactly 1.0, and uniform draws.
+    fn edge_probabilities() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(
+            (0u32..14, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+                0 => 0.0,
+                1 => 1.0,
+                2 => 0.5,
+                3 => 1e-13,
+                4 => 1e-12,
+                5 => 1.0 - 1e-13,
+                6 => 1.0 - 1e-12,
+                7 => 1.0 - 2e-12,
+                8 => 0.25,
+                9 => 0.75,
+                10 => 0.125,
+                11 => 0.875,
+                _ => u,
+            }),
+            0..200,
+        )
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Same indicators and the same number of draws as the oracle.
+        #[test]
+        fn sample_matches_oracle(probs in edge_probabilities(), seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = StdRng::seed_from_u64(seed);
+            let got = SplittingSampler::new().sample(&probs, &mut rng);
+            let want = oracle_sample(&probs, &mut oracle_rng);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+        }
+    }
 
     #[test]
     fn degenerate_probabilities_are_exact() {
