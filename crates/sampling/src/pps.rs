@@ -51,12 +51,13 @@ impl PpsDesign {
 /// patterns ascending orders the weights descending. Every sum is then taken in that
 /// descending order, so `τ` is bit-for-bit what a float comparison sort would give.
 ///
-/// `τ` divides a tail sum that the sweep forms as `total − head_sum`. When the certainty
-/// head dwarfs the tail (counts spanning about 1e12), that subtraction cancels, the
-/// design's `Σπ` misses `m` (47.0015 for `m = 47` in one case), and the pivotal sampler
-/// can then pick `m + 1` items. The chosen tail is therefore re-summed directly. If the design it implies misses `m` by more than
-/// 1e-9, the sweep is redone on direct suffix sums. Without cancellation the sums
-/// agree to rounding and the sweep's `τ` stands.
+/// `τ` divides a tail sum that the sweep forms as `total − head_sum`. When the
+/// certainty head dwarfs the tail (counts spanning about 1e12), that subtraction
+/// cancels, the design's `Σπ` misses `m` (47.0015 for `m = 47` in one case), and the
+/// pivotal sampler can then pick `m + 1` items. The chosen tail is therefore re-summed
+/// directly. If the design it implies misses `m` by more than 1e-9, the sweep is
+/// redone on direct suffix sums. Without cancellation the sums agree to rounding and
+/// the sweep's `τ` stands.
 ///
 /// # Panics
 ///
