@@ -13,11 +13,15 @@
 //!    producer threads ingest continuously; reports aggregate queries/s and how many
 //!    epochs the cache advanced.
 //!
+//! Each config runs `--reps` times (default 5). The best rep gives the headline
+//! `per_sec`; `min_per_sec`/`max_per_sec` record the spread across reps, which
+//! for `concurrent_mixed` on a host with fewer cores than threads is wide.
+//!
 //! Results go to `BENCH_query.json` (override with `--out`) and a human-readable
 //! table to stdout. `--quick` shrinks the workload for CI smoke coverage.
 //!
 //! Usage: `bench_query [--quick] [--bins N] [--items N] [--shards N]
-//! [--readers N] [--producers N] [--queries N] [--seed N] [--out PATH]`
+//! [--readers N] [--producers N] [--queries N] [--reps N] [--seed N] [--out PATH]`
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -32,9 +36,41 @@ use uss_workloads::{shuffled_stream, FrequencyDistribution};
 struct Measurement {
     name: &'static str,
     description: String,
+    spread: Spread,
+}
+
+/// The best rep's rate and elapsed time, the rate band across all reps, and
+/// the epochs the cache advanced during the best rep.
+struct Spread {
     per_sec: f64,
     elapsed_sec: f64,
+    min_per_sec: f64,
+    max_per_sec: f64,
     epochs: u64,
+}
+
+/// Runs `f` `reps` times; each rep performs `ops` operations and returns the
+/// epochs it advanced. The best rep gives the headline rate (noise-stripped);
+/// the worst rep bounds the noise band recorded alongside it.
+fn best_of<F: FnMut() -> u64>(reps: usize, ops: f64, mut f: F) -> Spread {
+    let mut best = (f64::INFINITY, 0);
+    let mut worst = 0.0f64;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let epochs = f();
+        let elapsed = start.elapsed().as_secs_f64();
+        if elapsed < best.0 {
+            best = (elapsed, epochs);
+        }
+        worst = worst.max(elapsed);
+    }
+    Spread {
+        per_sec: ops / best.0,
+        elapsed_sec: best.0,
+        min_per_sec: ops / worst,
+        max_per_sec: ops / best.0,
+        epochs: best.1,
+    }
 }
 
 struct Options {
@@ -45,6 +81,7 @@ struct Options {
     readers: usize,
     producers: usize,
     queries: usize,
+    reps: usize,
     seed: u64,
     out: String,
 }
@@ -59,6 +96,7 @@ impl Options {
             readers: 4,
             producers: 2,
             queries: 20_000,
+            reps: 5,
             seed: 11,
             out: "BENCH_query.json".to_string(),
         };
@@ -80,6 +118,7 @@ impl Options {
                 "--readers" => opts.readers = num("--readers"),
                 "--producers" => opts.producers = num("--producers"),
                 "--queries" => opts.queries = num("--queries"),
+                "--reps" => opts.reps = num("--reps"),
                 "--seed" => opts.seed = num("--seed") as u64,
                 "--out" => {
                     opts.out = args.next().unwrap_or_else(|| {
@@ -90,7 +129,8 @@ impl Options {
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: bench_query [--quick] [--bins N] [--items N] [--shards N] \
-                         [--readers N] [--producers N] [--queries N] [--seed N] [--out PATH]"
+                         [--readers N] [--producers N] [--queries N] [--reps N] [--seed N] \
+                         [--out PATH]"
                     );
                     std::process::exit(0);
                 }
@@ -102,6 +142,7 @@ impl Options {
         }
         if opts.quick {
             opts.queries = opts.queries.min(2_000);
+            opts.reps = opts.reps.min(3);
         }
         opts
     }
@@ -148,53 +189,50 @@ fn main() {
     // 1. Refresh cost (quiesced engine, so this is capture + merge, no queue wait).
     let server = QueryServer::new(&engine, QueryServerConfig::new());
     let refreshes = if opts.quick { 50 } else { 500 };
-    let start = Instant::now();
-    for _ in 0..refreshes {
-        let _ = server.refresh();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    let spread = best_of(opts.reps, refreshes as f64, || {
+        for _ in 0..refreshes {
+            let _ = server.refresh();
+        }
+        refreshes
+    });
     results.push(Measurement {
         name: "refresh",
         description: format!(
             "full snapshot refreshes/s ({}-shard drain + unbiased merge, {} bins)",
             opts.shards, opts.bins
         ),
-        per_sec: refreshes as f64 / elapsed,
-        elapsed_sec: elapsed,
-        epochs: refreshes as u64,
+        spread,
     });
 
     // 2. Cached subset-sum queries (with variance + CI) from one thread.
-    let start = Instant::now();
-    let mut checksum = 0.0f64;
-    for _ in 0..opts.queries {
-        let (estimate, ci) = server.subset_estimate(&subset);
-        checksum += estimate.sum + ci.upper;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(checksum.is_finite());
+    let spread = best_of(opts.reps, opts.queries as f64, || {
+        let mut checksum = 0.0f64;
+        for _ in 0..opts.queries {
+            let (estimate, ci) = server.subset_estimate(&subset);
+            checksum += estimate.sum + ci.upper;
+        }
+        assert!(checksum.is_finite());
+        0
+    });
     results.push(Measurement {
         name: "cached_subset_sum",
         description: "single-thread 256-item subset sums with 95% CI, cached snapshot".into(),
-        per_sec: opts.queries as f64 / elapsed,
-        elapsed_sec: elapsed,
-        epochs: 0,
+        spread,
     });
 
     // 3. Cached top-k queries from one thread.
-    let start = Instant::now();
-    let mut total_len = 0usize;
-    for _ in 0..opts.queries {
-        total_len += server.top_k(10).len();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(total_len, opts.queries * 10);
+    let spread = best_of(opts.reps, opts.queries as f64, || {
+        let mut total_len = 0usize;
+        for _ in 0..opts.queries {
+            total_len += server.top_k(10).len();
+        }
+        assert_eq!(total_len, opts.queries * 10);
+        0
+    });
     results.push(Measurement {
         name: "cached_top_k",
         description: "single-thread top-10 queries, cached snapshot".into(),
-        per_sec: opts.queries as f64 / elapsed,
-        elapsed_sec: elapsed,
-        epochs: 0,
+        spread,
     });
     drop(server);
 
@@ -203,14 +241,59 @@ fn main() {
         &engine,
         QueryServerConfig::new().refresh_every_rows(50_000),
     );
-    let epoch_before = server.epoch();
+    let spread = best_of(opts.reps, (opts.readers * opts.queries) as f64, || {
+        let epoch_before = server.epoch();
+        concurrent_mixed(&opts, &engine, &server, &rows, &subset);
+        server.epoch() - epoch_before
+    });
+    results.push(Measurement {
+        name: "concurrent_mixed",
+        description: format!(
+            "{} readers (subset-sum/proportion/top-k mix) while {} producers ingest; \
+             auto-refresh every 50k rows",
+            opts.readers, opts.producers
+        ),
+        spread,
+    });
+    drop(server);
+    let merged = engine.finish();
+    eprintln!("engine retired after {} rows", merged_rows(&merged));
+
+    println!(
+        "{:<20} {:>14} {:>14} {:>14} {:>12} {:>8}",
+        "config", "per_sec", "min_per_sec", "max_per_sec", "elapsed_s", "epochs"
+    );
+    for m in &results {
+        let s = &m.spread;
+        println!(
+            "{:<20} {:>14.0} {:>14.0} {:>14.0} {:>12.4} {:>8}",
+            m.name, s.per_sec, s.min_per_sec, s.max_per_sec, s.elapsed_sec, s.epochs
+        );
+    }
+
+    let json = render_json(&opts, rows.len(), &results);
+    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
+        eprintln!("failed to write {}: {e}", opts.out);
+        std::process::exit(1);
+    });
+    eprintln!("wrote {}", opts.out);
+}
+
+/// One rep of the serving scenario: `opts.readers` threads each issue
+/// `opts.queries` mixed queries while `opts.producers` threads re-ingest the
+/// stream until the readers finish.
+fn concurrent_mixed(
+    opts: &Options,
+    engine: &ShardedIngestEngine,
+    server: &QueryServer<&ShardedIngestEngine>,
+    rows: &[u64],
+    subset: &[u64],
+) {
     let stop = AtomicBool::new(false);
-    let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..opts.producers {
             let mut handle = engine.handle();
             let stop = &stop;
-            let rows = &rows;
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     for chunk in rows.chunks(8_192) {
@@ -225,8 +308,6 @@ fn main() {
         }
         let mut reader_handles = Vec::new();
         for reader in 0..opts.readers {
-            let server = &server;
-            let subset = &subset;
             reader_handles.push(scope.spawn(move || {
                 let mut checksum = 0.0f64;
                 for q in 0..opts.queries {
@@ -238,7 +319,7 @@ fn main() {
                         1 => {
                             if let QueryAnswer::Estimate { estimate, .. } = server
                                 .execute(&Query::Proportion {
-                                    items: subset.clone(),
+                                    items: subset.to_vec(),
                                 })
                                 .answer
                             {
@@ -258,40 +339,6 @@ fn main() {
         }
         stop.store(true, Ordering::Relaxed);
     });
-    let elapsed = start.elapsed().as_secs_f64();
-    let epochs = server.epoch() - epoch_before;
-    results.push(Measurement {
-        name: "concurrent_mixed",
-        description: format!(
-            "{} readers (subset-sum/proportion/top-k mix) while {} producers ingest; \
-             auto-refresh every 50k rows",
-            opts.readers, opts.producers
-        ),
-        per_sec: (opts.readers * opts.queries) as f64 / elapsed,
-        elapsed_sec: elapsed,
-        epochs,
-    });
-    drop(server);
-    let merged = engine.finish();
-    eprintln!("engine retired after {} rows", merged_rows(&merged));
-
-    println!(
-        "{:<20} {:>14} {:>12} {:>8}",
-        "config", "per_sec", "elapsed_s", "epochs"
-    );
-    for m in &results {
-        println!(
-            "{:<20} {:>14.0} {:>12.4} {:>8}",
-            m.name, m.per_sec, m.elapsed_sec, m.epochs
-        );
-    }
-
-    let json = render_json(&opts, rows.len(), &results);
-    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
-        eprintln!("failed to write {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    eprintln!("wrote {}", opts.out);
 }
 
 fn merged_rows(sketch: &uss_core::WeightedSpaceSaving) -> u64 {
@@ -315,15 +362,19 @@ fn render_json(opts: &Options, rows: usize, results: &[Measurement]) -> String {
     out.push_str(&format!("  \"readers\": {},\n", opts.readers));
     out.push_str(&format!("  \"producers\": {},\n", opts.producers));
     out.push_str(&format!("  \"queries_per_reader\": {},\n", opts.queries));
+    out.push_str(&format!("  \"reps\": {},\n", opts.reps));
     out.push_str(&format!("  \"seed\": {},\n", opts.seed));
     out.push_str("  \"configs\": [\n");
     for (i, m) in results.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": \"{}\",\n", m.name));
         out.push_str(&format!("      \"description\": \"{}\",\n", m.description));
-        out.push_str(&format!("      \"per_sec\": {:.0},\n", m.per_sec));
-        out.push_str(&format!("      \"elapsed_sec\": {:.6},\n", m.elapsed_sec));
-        out.push_str(&format!("      \"epochs_advanced\": {}\n", m.epochs));
+        let s = &m.spread;
+        out.push_str(&format!("      \"per_sec\": {:.0},\n", s.per_sec));
+        out.push_str(&format!("      \"min_per_sec\": {:.0},\n", s.min_per_sec));
+        out.push_str(&format!("      \"max_per_sec\": {:.0},\n", s.max_per_sec));
+        out.push_str(&format!("      \"elapsed_sec\": {:.6},\n", s.elapsed_sec));
+        out.push_str(&format!("      \"epochs_advanced\": {}\n", s.epochs));
         out.push_str(if i + 1 == results.len() {
             "    }\n"
         } else {

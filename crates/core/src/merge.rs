@@ -63,11 +63,12 @@ pub fn merge_unbiased_entries<R: Rng + ?Sized>(
 /// the unbiased PPS merge, in input order: the accumulator starts empty and each
 /// partition is merged in with [`merge_unbiased_entries`], all sampling driven by a
 /// single RNG seeded from `merge_seed`. `out_seed` seeds the result sketch's own
-/// RNG. Deterministic given the seeds and the partition order — this is the one
-/// fold primitive behind engine snapshots ([`crate::engine::ShardedIngestEngine`]),
-/// temporal range queries and tier compaction
+/// RNG. Deterministic given the seeds and the partition order. Callers: engine
+/// snapshots ([`crate::engine::ShardedIngestEngine`]), single-bucket temporal
+/// range folds and dyadic-ladder node builds
 /// ([`crate::temporal::WindowedSketchStore`]), and the map-reduce wrapper
-/// ([`crate::distributed::DistributedSketcher`]).
+/// ([`crate::distributed::DistributedSketcher`]). Tier compaction uses
+/// [`fold_unbiased_multiway`] instead.
 #[must_use]
 pub fn fold_unbiased<I>(
     capacity: usize,
@@ -100,15 +101,18 @@ where
 /// one reduction preserves `E[post count] = pre count` for every item (Theorem
 /// 2 applied once), so the result estimates the same totals as the sequential
 /// fold — with one fewer layer of sampling noise, never more. Use it when
-/// partitions may share items. Temporal range queries do not call it: each
-/// shard sums its span's reports and reduces them itself, and the engine
+/// partitions may share items. The combine map is pre-sized to the parts'
+/// total entry count, so it never rehashes.
+///
+/// Callers: tier compaction ([`crate::temporal::compact_fold`]), where a group
+/// of expired buckets shares items. Temporal range queries do not call it:
+/// each shard sums its span's reports and reduces them itself, and the engine
 /// concatenates the item-disjoint shard reports before one reduction (see
 /// [`crate::temporal`]), which is this fold minus a combine that would find
 /// nothing to merge.
 ///
-/// For a single partition that already fits `capacity` the result is
-/// bit-identical to [`fold_unbiased`] (both rebuild the entry list through the
-/// same hash-combine and skip the reduction).
+/// For a single partition that already fits `capacity` both folds skip the
+/// reduction and return the same entries as [`fold_unbiased`].
 #[must_use]
 pub fn fold_unbiased_multiway<I>(
     capacity: usize,
@@ -119,8 +123,10 @@ pub fn fold_unbiased_multiway<I>(
 where
     I: IntoIterator<Item = (Vec<(u64, f64)>, u64)>,
 {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(merge_seed);
-    let mut combined: crate::hash::FxHashMap<u64, f64> = crate::hash::FxHashMap::default();
+    let parts: Vec<(Vec<(u64, f64)>, u64)> = parts.into_iter().collect();
+    let total = parts.iter().map(|(entries, _)| entries.len()).sum();
+    let mut combined: crate::hash::FxHashMap<u64, f64> =
+        crate::hash::FxHashMap::with_capacity_and_hasher(total, Default::default());
     let mut acc_rows: u64 = 0;
     for (entries, rows) in parts {
         for (item, count) in entries {
@@ -128,6 +134,7 @@ where
         }
         acc_rows += rows;
     }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(merge_seed);
     let reduced = pps_reduce(combined.into_iter().collect(), capacity, &mut rng);
     let mut out = WeightedSpaceSaving::with_seed(capacity, out_seed);
     out.load_entries(reduced, acc_rows as f64);

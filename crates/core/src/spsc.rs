@@ -152,10 +152,16 @@ impl Waker {
     /// Unparks the registered thread if it is (preparing to be) parked. Cheap when
     /// nobody is parked: a single `SeqCst` load. Returns whether this call actually
     /// won the unpark (so callers can count true wake transitions, not no-ops).
+    ///
+    /// The registration stays in place. A wake that lowered the flag of one
+    /// `prepare` may reach the lock only after the parker's *next* `prepare`;
+    /// taking the thread out then would leave that next park with nobody to
+    /// unpark it. Leaving it costs at most a spurious unpark, which `park`
+    /// absorbs.
     pub fn wake(&self) -> bool {
         fence(Ordering::SeqCst);
         if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
-            let thread = self.thread.lock().take();
+            let thread = self.thread.lock().clone();
             if let Some(thread) = thread {
                 thread.unpark();
             }

@@ -17,10 +17,11 @@
 //!   `fine_buckets` buckets stay *fine* (full resumable sketches); older buckets
 //!   expire into coarser **tiers**: each tier holds up to `tier_factor - 1`
 //!   buckets and compacts groups of `tier_factor` into one bucket of the next
-//!   tier via the same unbiased PPS fold used everywhere else
-//!   ([`crate::merge::fold_unbiased`]), so every compacted count stays unbiased
-//!   (Theorem 2 applies to each merge). Buckets that age past the last tier
-//!   accumulate into a single *terminal* bucket. Total memory is therefore
+//!   tier with [`compact_fold`]: an exact per-item sum of the group, then one
+//!   unbiased PPS reduction ([`crate::merge::fold_unbiased_multiway`]), so
+//!   every compacted count stays unbiased (Theorem 2 applies once per
+//!   compaction). Buckets that age past the last tier accumulate into a single
+//!   *terminal* bucket, compacted the same way. Total memory is therefore
 //!   bounded by `(fine_buckets + tiers · (tier_factor - 1) + 1) · capacity`
 //!   entries per shard, while the whole history stays queryable — accuracy
 //!   degrades gracefully with age: a range query is answered at the granularity
@@ -146,7 +147,7 @@ use rand::SeedableRng;
 use crate::engine::{shard_of, EngineError};
 use crate::estimator::SketchSnapshot;
 use crate::hash::{splitmix64, FxHashMap};
-use crate::merge::{fold_unbiased, FOLD_MERGE_SALT, FOLD_OUT_SALT};
+use crate::merge::{fold_unbiased, fold_unbiased_multiway, FOLD_MERGE_SALT, FOLD_OUT_SALT};
 use crate::metrics::{EngineMetrics, TemporalMetrics};
 use crate::persist::{self, PersistError};
 use crate::query::SnapshotSource;
@@ -374,10 +375,17 @@ impl TierBucket {
 }
 
 /// Compacts a group of bucket reports covering fine-bucket span `[start, end)`
-/// into one [`TierBucket`] with the unbiased PPS fold. The fold seeds derive
-/// deterministically from `base_seed` and the span, so compaction is exactly
-/// reproducible: compacting the same bucket contents over the same span always
-/// yields the same entries (the tier-compaction equivalence locked by tests).
+/// into one [`TierBucket`] in one sampling stage: the parts' counts are summed
+/// exactly per item, then reduced once by PPS to at most `capacity` entries
+/// ([`crate::merge::fold_unbiased_multiway`]). Rows are kept exactly, mass is
+/// kept to float rounding, and every item's expected count equals its exact
+/// sum (Theorem 2 applied once), so the tier bucket estimates the same totals
+/// as a leaf-by-leaf fold with one PPS stage instead of `parts - 1`. The seeds
+/// derive deterministically from `base_seed` and the span, so compaction is
+/// exactly reproducible: compacting the same bucket contents over the same
+/// span always yields the same entries (the tier-compaction equivalence locked
+/// by tests). Engine workers and standalone stores both compact through this
+/// one function, so their tiers and terminal buckets agree bit for bit.
 #[must_use]
 pub fn compact_fold(
     capacity: usize,
@@ -387,7 +395,7 @@ pub fn compact_fold(
     parts: Vec<BucketReport>,
 ) -> TierBucket {
     let salt = splitmix64(start ^ end.rotate_left(32));
-    let merged = fold_unbiased(
+    let merged = fold_unbiased_multiway(
         capacity,
         base_seed ^ 0x00C0_FFEE ^ salt,
         base_seed ^ 0xFACE ^ salt,
@@ -652,6 +660,14 @@ impl WindowedSketchStore {
     /// Offers a batch of unit rows all stamped `ts`, exactly equivalent to
     /// calling [`offer_at`](Self::offer_at) per item in order (the bucket lookup
     /// and rotation run once for the batch).
+    ///
+    /// The store reads a row's timestamp for two things only: the fine bucket
+    /// it resolves to, and the watermark `last_time = max(last_time, ts)`. So
+    /// rows with *different* timestamps that all resolve to one bucket may be
+    /// offered as one batch stamped with their largest timestamp, and the
+    /// store ends bit-identical to per-row offers (sketches, tiers, ladder,
+    /// `late_rows`, `last_time` and rows). The engine workers apply blocks
+    /// this way.
     pub fn offer_batch_at(&mut self, items: &[u64], ts: u64) {
         if items.is_empty() {
             return;
@@ -2195,11 +2211,12 @@ impl TemporalIngestHandle {
 mod worker {
     use super::*;
 
-    /// One shard: its bucket store and the scratch buffer for timestamp runs.
+    /// One shard: its bucket store and the scratch buffer for bucket runs.
     #[derive(Debug)]
     pub struct TemporalShard {
         pub(super) store: WindowedSketchStore,
-        /// Scratch buffer for runs of equal timestamps, reused across blocks.
+        /// The items of the current bucket run (see `apply`), reused across
+        /// blocks.
         pub(super) run_items: Vec<u64>,
     }
 
@@ -2236,27 +2253,34 @@ mod worker {
             rows.iter().map(|&(_, ts)| ts).max()
         }
 
-        /// Applies one block of `(item, timestamp)` rows. Real blocks are
-        /// dominated by runs of equal timestamps; applying each run through
-        /// `offer_batch_at` (exactly equivalent to per-row offers) pays the
-        /// bucket resolution once per run instead of once per row.
+        /// Applies one block of `(item, timestamp)` rows as maximal runs of
+        /// consecutive rows whose timestamps fall in one fine bucket. Equal
+        /// timestamps are rare (a daemon stream averages 1.3 rows per
+        /// equal-timestamp run per shard), but a block usually lies in one
+        /// bucket. The first row of a run fixes the bucket's time span
+        /// `[lo, lo + width)`; later rows join the run by two comparisons, with
+        /// no division. Each run goes through one `offer_batch_at` stamped with
+        /// its largest timestamp, which is bit-identical to per-row offers
+        /// (see `WindowedSketchStore::offer_batch_at`).
         fn apply(&mut self, rows: &[(u64, u64)]) {
+            let width = self.store.config.bucket_width;
             let mut i = 0;
             while i < rows.len() {
-                let ts = rows[i].1;
-                let mut j = i + 1;
-                while j < rows.len() && rows[j].1 == ts {
-                    j += 1;
+                let first = rows[i].1;
+                let lo = first - first % width;
+                let mut max_ts = first;
+                self.run_items.clear();
+                self.run_items.push(rows[i].0);
+                i += 1;
+                while let Some(&(item, ts)) = rows.get(i) {
+                    if ts < lo || ts - lo >= width {
+                        break;
+                    }
+                    max_ts = max_ts.max(ts);
+                    self.run_items.push(item);
+                    i += 1;
                 }
-                if j - i == 1 {
-                    self.store.offer_at(rows[i].0, ts);
-                } else {
-                    self.run_items.clear();
-                    self.run_items
-                        .extend(rows[i..j].iter().map(|&(item, _)| item));
-                    self.store.offer_batch_at(&self.run_items, ts);
-                }
-                i = j;
+                self.store.offer_batch_at(&self.run_items, max_ts);
             }
         }
 
@@ -2417,6 +2441,71 @@ mod tests {
         let eb: Vec<_> = b.fine_sketches().map(|(i, sk)| (i, sk.entries())).collect();
         assert_eq!(ea, eb);
         assert_eq!(a.rows_processed(), b.rows_processed());
+    }
+
+    /// Sample mean and variance of `xs`.
+    fn mean_var(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, var)
+    }
+
+    #[test]
+    fn one_stage_compaction_is_exact_in_rows_and_mass_and_unbiased() {
+        // A 4-bucket group over overlapping item sets: 400 distinct items in
+        // all, reduced to 64. Item 1 is heavy (kept with certainty), item 2
+        // sits near the threshold, item 3 is a tail item seen in every part.
+        let tracked = [1u64, 2, 3];
+        let parts: Vec<BucketReport> = (0..4u64)
+            .map(|p| {
+                let mut entries: Vec<(u64, f64)> = (0..150u64)
+                    .map(|i| (10 + p * 80 + i, 1.0 + ((i * 7 + p) % 5) as f64))
+                    .collect();
+                entries.extend([(1, 400.0), (2, 5.0 + p as f64), (3, 2.0)]);
+                let rows = entries.iter().map(|&(_, c)| c).sum::<f64>() as u64;
+                BucketReport { entries, rows }
+            })
+            .collect();
+        let rows: u64 = parts.iter().map(|p| p.rows).sum();
+        let count = |entries: &[(u64, f64)], item: u64| -> f64 {
+            entries.iter().filter(|e| e.0 == item).map(|e| e.1).sum()
+        };
+        let mut one_stage: Vec<Vec<f64>> = vec![Vec::new(); tracked.len()];
+        let mut sequential = Vec::new();
+        for seed in 0..200u64 {
+            let out = compact_fold(64, seed, 8, 12, parts.clone());
+            assert_eq!((out.start, out.end, out.rows), (8, 12, rows));
+            assert!(out.entries.len() <= 64);
+            let mass: f64 = out.entries.iter().map(|&(_, c)| c).sum();
+            let err = (mass - rows as f64).abs() / rows as f64;
+            assert!(err <= 1e-9, "seed {seed}: mass {mass} vs rows {rows}");
+            for (k, &item) in tracked.iter().enumerate() {
+                one_stage[k].push(count(&out.entries, item));
+            }
+            let parts = parts.iter().map(|p| (p.entries.clone(), p.rows));
+            sequential.push(fold_unbiased(64, seed ^ 0xA5A5, seed, parts).estimate(3));
+        }
+        for (k, &item) in tracked.iter().enumerate() {
+            let truth: f64 = parts.iter().map(|p| count(&p.entries, item)).sum();
+            let (mean, var) = mean_var(&one_stage[k]);
+            if var == 0.0 {
+                assert_eq!(mean, truth, "item {item}");
+            } else {
+                let z = (mean - truth) / (var / 200.0).sqrt();
+                assert!(
+                    z.abs() < 4.0,
+                    "item {item}: mean {mean} vs {truth}, z {z:.2}"
+                );
+            }
+        }
+        let (_, var_one) = mean_var(&one_stage[2]);
+        let (_, var_seq) = mean_var(&sequential);
+        assert!(var_one > 0.0, "item 3 must be sampled");
+        assert!(
+            var_one <= 1.1 * var_seq,
+            "variance {var_one} vs sequential {var_seq}"
+        );
     }
 
     #[test]

@@ -659,6 +659,90 @@ fn straddling_batches_account_late_rows_per_item() {
     }
 }
 
+/// Offers `rows` through a one-shard engine, which applies each block as
+/// per-bucket runs, and one row at a time with `offer_at` into a standalone
+/// store of the same geometry (shard 0 is seeded with the base seed). The two
+/// stores must end bit-identical. Returns the engine's store.
+fn assert_bucket_runs_match_row_offers(
+    config: TemporalConfig,
+    rows: &[(u64, u64)],
+) -> WindowedSketchStore {
+    let engine = TemporalIngestEngine::new(config);
+    let mut handle = engine.handle();
+    handle.offer_batch_at(rows);
+    handle.flush();
+    drop(handle);
+    let stores = engine.finish_stores();
+    assert_eq!(stores.len(), 1);
+    let x = &stores[0];
+    let mut y = WindowedSketchStore::new(config.window);
+    for &(item, ts) in rows {
+        y.offer_at(item, ts);
+    }
+    assert_eq!(x.rows_processed(), rows.len() as u64);
+    assert_eq!(x.rows_processed(), y.rows_processed());
+    assert_eq!(x.late_rows(), y.late_rows());
+    assert_eq!(x.last_time(), y.last_time());
+    let fine = |s: &WindowedSketchStore| -> Vec<_> {
+        s.fine_sketches()
+            .map(|(i, sk)| (i, sk.rows_processed(), sk.entries()))
+            .collect()
+    };
+    assert_eq!(fine(x), fine(&y));
+    for t in 0..config.window.tiers {
+        assert_eq!(x.tier_buckets(t), y.tier_buckets(t), "tier {t}");
+    }
+    assert_eq!(x.terminal_bucket(), y.terminal_bucket());
+    stores.into_iter().next().expect("one shard")
+}
+
+#[test]
+fn per_bucket_runs_are_bit_identical_to_row_by_row_offers() {
+    // Width-10 buckets, 4 fine: timestamps climb about one bucket per 70 rows,
+    // so 254-row blocks hold runs that cross bucket boundaries. Every 23rd row
+    // steps 1-2 buckets back (in-window out of order) and every 61st row 9
+    // buckets back (late, clamped). Retention 2x2 forces tier and terminal
+    // compactions.
+    let mut rows: Vec<(u64, u64)> = Vec::new();
+    for i in 0..6_000u64 {
+        let now = i / 7;
+        let ts = if i % 61 == 0 {
+            now.saturating_sub(90)
+        } else if i % 23 == 0 {
+            now.saturating_sub(10 + mix(i) % 10)
+        } else {
+            now
+        };
+        rows.push((mix(i) % 50 + (i % 3), ts));
+    }
+    let config = TemporalConfig::new(1, 16, 31, 10, 4).with_retention(2, 2);
+    let store = assert_bucket_runs_match_row_offers(config, &rows);
+    assert!(store.late_rows() > 0);
+    assert!(store.terminal_bucket().is_some());
+
+    // Width-1 buckets at the top of the timestamp range: bucket `u64::MAX`
+    // clamps into `u64::MAX - 1`, so rows at `u64::MAX - 1` and `u64::MAX`
+    // share a bucket while their runs split. Out-of-order and late rows mix
+    // in as above.
+    let top = u64::MAX - 60;
+    let mut rows: Vec<(u64, u64)> = Vec::new();
+    for i in 0..3_000u64 {
+        let now = top + i / 50;
+        let ts = match i % 17 {
+            0 => now - 8,
+            5 => now - 1 - mix(i) % 2,
+            _ if i >= 2_800 => u64::MAX - (i % 2),
+            _ => now,
+        };
+        rows.push((mix(i) % 40, ts));
+    }
+    let config = TemporalConfig::new(1, 16, 32, 1, 4).with_retention(1, 2);
+    let store = assert_bucket_runs_match_row_offers(config, &rows);
+    assert!(store.late_rows() > 0);
+    assert_eq!(store.newest_bucket(), Some(u64::MAX - 1));
+    assert_eq!(store.last_time(), u64::MAX);
+}
+
 #[test]
 fn degenerate_ranges_serve_every_query_variant_with_finite_zeros() {
     // The range path's empty-snapshot contract: a served range that resolves
