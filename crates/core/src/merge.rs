@@ -64,9 +64,9 @@ pub fn merge_unbiased_entries<R: Rng + ?Sized>(
 /// partition is merged in with [`merge_unbiased_entries`], all sampling driven by a
 /// single RNG seeded from `merge_seed`. `out_seed` seeds the result sketch's own
 /// RNG. Deterministic given the seeds and the partition order. Callers: engine
-/// snapshots ([`crate::engine::ShardedIngestEngine`]), single-bucket temporal
-/// range folds and dyadic-ladder node builds
-/// ([`crate::temporal::WindowedSketchStore`]), and the map-reduce wrapper
+/// snapshots ([`crate::engine::ShardedIngestEngine`]); in [`crate::temporal`],
+/// leaf-by-leaf and raw single-bucket range folds, dyadic-ladder node builds
+/// and the engine's `finish`; and the map-reduce wrapper
 /// ([`crate::distributed::DistributedSketcher`]). Tier compaction uses
 /// [`fold_unbiased_multiway`] instead.
 #[must_use]
