@@ -17,11 +17,10 @@
 //! Usage: `bench_ingest [--quick] [--bins N] [--items N] [--shards N] [--reps N]
 //! [--seed N] [--out PATH]`
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use uss_bench::{best_of_reps, RepSpread};
 use uss_core::engine::{EngineConfig, ShardedIngestEngine};
 use uss_core::{StreamSketch, UnbiasedSpaceSaving};
 use uss_workloads::{shuffled_stream, FrequencyDistribution};
@@ -115,27 +114,11 @@ fn build_stream(opts: &Options) -> Vec<u64> {
     shuffled_stream(&counts, &mut rng)
 }
 
-/// Per-rep timing spread: best (smallest) and worst (largest) elapsed seconds.
-struct RepSpread {
-    best: f64,
-    worst: f64,
-}
-
-/// Runs `f` `reps` times and returns the elapsed-time spread. The best rep is the
-/// standard noise-stripped throughput figure; the worst bounds the noise band.
-fn measure_reps<F: FnMut() -> u64>(reps: usize, rows: usize, mut f: F) -> RepSpread {
-    let mut spread = RepSpread {
-        best: f64::INFINITY,
-        worst: 0.0,
-    };
-    for _ in 0..reps {
-        let start = Instant::now();
-        let processed = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(processed, rows as u64, "a run dropped rows");
-        spread.best = spread.best.min(elapsed);
-        spread.worst = spread.worst.max(elapsed);
-    }
+/// Runs `f` `reps` times, asserting each rep processes all `rows`.
+fn measure_reps(reps: usize, rows: usize, mut f: impl FnMut() -> u64) -> RepSpread {
+    let (spread, ()) = best_of_reps(reps, || {
+        assert_eq!(f(), rows as u64, "a run dropped rows");
+    });
     spread
 }
 
@@ -150,10 +133,10 @@ fn measurement(
     Measurement {
         name,
         description,
-        rows_per_sec: rows as f64 / spread.best,
-        elapsed_sec: spread.best,
-        min_rows_per_sec: rows as f64 / spread.worst,
-        max_rows_per_sec: rows as f64 / spread.best,
+        rows_per_sec: spread.max_per_sec(rows as f64),
+        elapsed_sec: spread.best_sec,
+        min_rows_per_sec: spread.min_per_sec(rows as f64),
+        max_rows_per_sec: spread.max_per_sec(rows as f64),
     }
 }
 

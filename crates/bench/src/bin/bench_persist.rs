@@ -18,18 +18,29 @@
 //! [--seed N] [--out PATH]`
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use uss_bench::{best_of_reps, RepSpread};
 use uss_core::engine::{EngineConfig, ShardedIngestEngine};
 use uss_core::persist;
 use uss_core::{StreamSketch, UnbiasedSpaceSaving};
 
+/// One operation, timed best-of-reps; `frame_bytes` gives codec rows a MB/s.
 struct Measurement {
     name: &'static str,
     description: String,
-    ops_per_sec: f64,
-    mb_per_sec: Option<f64>,
-    elapsed_sec: f64,
+    spread: RepSpread,
+    frame_bytes: Option<usize>,
+}
+
+impl Measurement {
+    fn ops_per_sec(&self) -> f64 {
+        self.spread.max_per_sec(1.0)
+    }
+
+    fn mb_per_sec(&self) -> Option<f64> {
+        self.frame_bytes
+            .map(|b| b as f64 * self.ops_per_sec() / 1e6)
+    }
 }
 
 struct Options {
@@ -95,17 +106,6 @@ impl Options {
     }
 }
 
-/// Runs `f` `reps` times and returns (ops/s over the best rep, best elapsed).
-fn best_elapsed<F: FnMut()>(reps: usize, mut f: F) -> (f64, f64) {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (1.0 / best, best)
-}
-
 fn build_sketch(opts: &Options) -> UnbiasedSpaceSaving {
     let mut sketch = UnbiasedSpaceSaving::with_seed(opts.bins, opts.seed);
     for i in 0..opts.rows {
@@ -123,30 +123,28 @@ fn main() {
     let mut results: Vec<Measurement> = Vec::new();
 
     let snap_bytes = persist::encode_snapshot(&snapshot);
-    let (ops, elapsed) = best_elapsed(opts.reps, || {
+    let (spread, ()) = best_of_reps(opts.reps, || {
         std::hint::black_box(persist::encode_snapshot(std::hint::black_box(&snapshot)));
     });
     results.push(Measurement {
         name: "encode_snapshot",
         description: format!("{}-entry cold snapshot -> {} bytes", snapshot.len(), snap_bytes.len()),
-        ops_per_sec: ops,
-        mb_per_sec: Some(snap_bytes.len() as f64 * ops / 1e6),
-        elapsed_sec: elapsed,
+        spread,
+        frame_bytes: Some(snap_bytes.len()),
     });
 
-    let (ops, elapsed) = best_elapsed(opts.reps, || {
+    let (spread, ()) = best_of_reps(opts.reps, || {
         std::hint::black_box(persist::decode_snapshot(std::hint::black_box(&snap_bytes)).unwrap());
     });
     results.push(Measurement {
         name: "decode_snapshot",
         description: "validate checksum + rebuild the snapshot".into(),
-        ops_per_sec: ops,
-        mb_per_sec: Some(snap_bytes.len() as f64 * ops / 1e6),
-        elapsed_sec: elapsed,
+        spread,
+        frame_bytes: Some(snap_bytes.len()),
     });
 
     let full_bytes = persist::encode_unbiased(&sketch);
-    let (ops, elapsed) = best_elapsed(opts.reps, || {
+    let (spread, ()) = best_of_reps(opts.reps, || {
         std::hint::black_box(persist::encode_unbiased(std::hint::black_box(&sketch)));
     });
     results.push(Measurement {
@@ -155,20 +153,18 @@ fn main() {
             "full resumable sketch (structure + RNG) -> {} bytes",
             full_bytes.len()
         ),
-        ops_per_sec: ops,
-        mb_per_sec: Some(full_bytes.len() as f64 * ops / 1e6),
-        elapsed_sec: elapsed,
+        spread,
+        frame_bytes: Some(full_bytes.len()),
     });
 
-    let (ops, elapsed) = best_elapsed(opts.reps, || {
+    let (spread, ()) = best_of_reps(opts.reps, || {
         std::hint::black_box(persist::decode_unbiased(std::hint::black_box(&full_bytes)).unwrap());
     });
     results.push(Measurement {
         name: "decode_unbiased",
         description: "validate + rebuild a bit-compatible resumable sketch".into(),
-        ops_per_sec: ops,
-        mb_per_sec: Some(full_bytes.len() as f64 * ops / 1e6),
-        elapsed_sec: elapsed,
+        spread,
+        frame_bytes: Some(full_bytes.len()),
     });
 
     // Engine checkpoint/restore: a live engine fed once, checkpointed repeatedly.
@@ -184,7 +180,7 @@ fn main() {
         handle.flush();
     }
     let ckpt_reps = opts.reps.clamp(3, 50);
-    let (ops, elapsed) = best_elapsed(ckpt_reps, || {
+    let (spread, ()) = best_of_reps(ckpt_reps, || {
         engine.checkpoint(&ckpt_dir).unwrap();
     });
     results.push(Measurement {
@@ -193,13 +189,12 @@ fn main() {
             "quiesce {} shards, write {} shard files + manifest",
             opts.shards, opts.shards
         ),
-        ops_per_sec: ops,
-        mb_per_sec: None,
-        elapsed_sec: elapsed,
+        spread,
+        frame_bytes: None,
     });
     drop(engine.finish());
 
-    let (ops, elapsed) = best_elapsed(ckpt_reps, || {
+    let (spread, ()) = best_of_reps(ckpt_reps, || {
         let restored = ShardedIngestEngine::restore(&ckpt_dir, config).unwrap();
         std::hint::black_box(restored.rows_enqueued());
         drop(restored.finish());
@@ -207,9 +202,8 @@ fn main() {
     results.push(Measurement {
         name: "engine_restore",
         description: "read + validate all shard files, respawn the workers".into(),
-        ops_per_sec: ops,
-        mb_per_sec: None,
-        elapsed_sec: elapsed,
+        spread,
+        frame_bytes: None,
     });
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
@@ -221,10 +215,10 @@ fn main() {
         println!(
             "{:<20} {:>12.0} {:>10} {:>12.6}",
             m.name,
-            m.ops_per_sec,
-            m.mb_per_sec
+            m.ops_per_sec(),
+            m.mb_per_sec()
                 .map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
-            m.elapsed_sec
+            m.spread.best_sec
         );
     }
 
@@ -249,11 +243,11 @@ fn main() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", m.name);
         let _ = writeln!(json, "      \"description\": \"{}\",", m.description);
-        let _ = writeln!(json, "      \"ops_per_sec\": {:.0},", m.ops_per_sec);
-        if let Some(mb) = m.mb_per_sec {
+        let _ = writeln!(json, "      \"ops_per_sec\": {:.0},", m.ops_per_sec());
+        if let Some(mb) = m.mb_per_sec() {
             let _ = writeln!(json, "      \"mb_per_sec\": {mb:.1},");
         }
-        let _ = writeln!(json, "      \"elapsed_sec\": {:.6}", m.elapsed_sec);
+        let _ = writeln!(json, "      \"elapsed_sec\": {:.6}", m.spread.best_sec);
         let _ = writeln!(json, "    }}{}", if i + 1 < results.len() { "," } else { "" });
     }
     let _ = writeln!(json, "  ]");

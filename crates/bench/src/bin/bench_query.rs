@@ -13,7 +13,7 @@
 //!    producer threads ingest continuously; reports aggregate queries/s and how many
 //!    epochs the cache advanced.
 //!
-//! Each config runs `--reps` times (default 5). The best rep gives the headline
+//! Each config runs 5 times (3 with `--quick`). The best rep gives the headline
 //! `per_sec`; `min_per_sec`/`max_per_sec` record the spread across reps, which
 //! for `concurrent_mixed` on a host with fewer cores than threads is wide.
 //!
@@ -21,56 +21,26 @@
 //! table to stdout. `--quick` shrinks the workload for CI smoke coverage.
 //!
 //! Usage: `bench_query [--quick] [--bins N] [--items N] [--shards N]
-//! [--readers N] [--producers N] [--queries N] [--reps N] [--seed N] [--out PATH]`
+//! [--readers N] [--producers N] [--queries N] [--seed N] [--out PATH]`
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use uss_bench::{best_of_reps, RepSpread};
 use uss_core::engine::{EngineConfig, ShardedIngestEngine};
 use uss_core::{Query, QueryAnswer, QueryServer, QueryServerConfig};
 use uss_workloads::{shuffled_stream, FrequencyDistribution};
 
+/// One config: `ops` operations per rep, timed best-of-reps, and the epochs
+/// the cache advanced during the best rep.
 struct Measurement {
     name: &'static str,
     description: String,
-    spread: Spread,
-}
-
-/// The best rep's rate and elapsed time, the rate band across all reps, and
-/// the epochs the cache advanced during the best rep.
-struct Spread {
-    per_sec: f64,
-    elapsed_sec: f64,
-    min_per_sec: f64,
-    max_per_sec: f64,
+    ops: f64,
+    spread: RepSpread,
     epochs: u64,
-}
-
-/// Runs `f` `reps` times; each rep performs `ops` operations and returns the
-/// epochs it advanced. The best rep gives the headline rate (noise-stripped);
-/// the worst rep bounds the noise band recorded alongside it.
-fn best_of<F: FnMut() -> u64>(reps: usize, ops: f64, mut f: F) -> Spread {
-    let mut best = (f64::INFINITY, 0);
-    let mut worst = 0.0f64;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let epochs = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best.0 {
-            best = (elapsed, epochs);
-        }
-        worst = worst.max(elapsed);
-    }
-    Spread {
-        per_sec: ops / best.0,
-        elapsed_sec: best.0,
-        min_per_sec: ops / worst,
-        max_per_sec: ops / best.0,
-        epochs: best.1,
-    }
 }
 
 struct Options {
@@ -81,7 +51,6 @@ struct Options {
     readers: usize,
     producers: usize,
     queries: usize,
-    reps: usize,
     seed: u64,
     out: String,
 }
@@ -96,7 +65,6 @@ impl Options {
             readers: 4,
             producers: 2,
             queries: 20_000,
-            reps: 5,
             seed: 11,
             out: "BENCH_query.json".to_string(),
         };
@@ -118,7 +86,6 @@ impl Options {
                 "--readers" => opts.readers = num("--readers"),
                 "--producers" => opts.producers = num("--producers"),
                 "--queries" => opts.queries = num("--queries"),
-                "--reps" => opts.reps = num("--reps"),
                 "--seed" => opts.seed = num("--seed") as u64,
                 "--out" => {
                     opts.out = args.next().unwrap_or_else(|| {
@@ -129,7 +96,7 @@ impl Options {
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: bench_query [--quick] [--bins N] [--items N] [--shards N] \
-                         [--readers N] [--producers N] [--queries N] [--reps N] [--seed N] \
+                         [--readers N] [--producers N] [--queries N] [--seed N] \
                          [--out PATH]"
                     );
                     std::process::exit(0);
@@ -142,9 +109,17 @@ impl Options {
         }
         if opts.quick {
             opts.queries = opts.queries.min(2_000);
-            opts.reps = opts.reps.min(3);
         }
         opts
+    }
+
+    /// Reps per config.
+    fn reps(&self) -> usize {
+        if self.quick {
+            3
+        } else {
+            5
+        }
     }
 }
 
@@ -189,7 +164,7 @@ fn main() {
     // 1. Refresh cost (quiesced engine, so this is capture + merge, no queue wait).
     let server = QueryServer::new(&engine, QueryServerConfig::new());
     let refreshes = if opts.quick { 50 } else { 500 };
-    let spread = best_of(opts.reps, refreshes as f64, || {
+    let (spread, epochs) = best_of_reps(opts.reps(), || {
         for _ in 0..refreshes {
             let _ = server.refresh();
         }
@@ -201,38 +176,42 @@ fn main() {
             "full snapshot refreshes/s ({}-shard drain + unbiased merge, {} bins)",
             opts.shards, opts.bins
         ),
+        ops: refreshes as f64,
         spread,
+        epochs,
     });
 
     // 2. Cached subset-sum queries (with variance + CI) from one thread.
-    let spread = best_of(opts.reps, opts.queries as f64, || {
+    let (spread, ()) = best_of_reps(opts.reps(), || {
         let mut checksum = 0.0f64;
         for _ in 0..opts.queries {
             let (estimate, ci) = server.subset_estimate(&subset);
             checksum += estimate.sum + ci.upper;
         }
         assert!(checksum.is_finite());
-        0
     });
     results.push(Measurement {
         name: "cached_subset_sum",
         description: "single-thread 256-item subset sums with 95% CI, cached snapshot".into(),
+        ops: opts.queries as f64,
         spread,
+        epochs: 0,
     });
 
     // 3. Cached top-k queries from one thread.
-    let spread = best_of(opts.reps, opts.queries as f64, || {
+    let (spread, ()) = best_of_reps(opts.reps(), || {
         let mut total_len = 0usize;
         for _ in 0..opts.queries {
             total_len += server.top_k(10).len();
         }
         assert_eq!(total_len, opts.queries * 10);
-        0
     });
     results.push(Measurement {
         name: "cached_top_k",
         description: "single-thread top-10 queries, cached snapshot".into(),
+        ops: opts.queries as f64,
         spread,
+        epochs: 0,
     });
     drop(server);
 
@@ -241,7 +220,7 @@ fn main() {
         &engine,
         QueryServerConfig::new().refresh_every_rows(50_000),
     );
-    let spread = best_of(opts.reps, (opts.readers * opts.queries) as f64, || {
+    let (spread, epochs) = best_of_reps(opts.reps(), || {
         let epoch_before = server.epoch();
         concurrent_mixed(&opts, &engine, &server, &rows, &subset);
         server.epoch() - epoch_before
@@ -253,7 +232,9 @@ fn main() {
              auto-refresh every 50k rows",
             opts.readers, opts.producers
         ),
+        ops: (opts.readers * opts.queries) as f64,
         spread,
+        epochs,
     });
     drop(server);
     let merged = engine.finish();
@@ -267,7 +248,12 @@ fn main() {
         let s = &m.spread;
         println!(
             "{:<20} {:>14.0} {:>14.0} {:>14.0} {:>12.4} {:>8}",
-            m.name, s.per_sec, s.min_per_sec, s.max_per_sec, s.elapsed_sec, s.epochs
+            m.name,
+            s.max_per_sec(m.ops),
+            s.min_per_sec(m.ops),
+            s.max_per_sec(m.ops),
+            s.best_sec,
+            m.epochs
         );
     }
 
@@ -362,19 +348,20 @@ fn render_json(opts: &Options, rows: usize, results: &[Measurement]) -> String {
     out.push_str(&format!("  \"readers\": {},\n", opts.readers));
     out.push_str(&format!("  \"producers\": {},\n", opts.producers));
     out.push_str(&format!("  \"queries_per_reader\": {},\n", opts.queries));
-    out.push_str(&format!("  \"reps\": {},\n", opts.reps));
+    out.push_str(&format!("  \"reps\": {},\n", opts.reps()));
     out.push_str(&format!("  \"seed\": {},\n", opts.seed));
     out.push_str("  \"configs\": [\n");
     for (i, m) in results.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": \"{}\",\n", m.name));
         out.push_str(&format!("      \"description\": \"{}\",\n", m.description));
-        let s = &m.spread;
-        out.push_str(&format!("      \"per_sec\": {:.0},\n", s.per_sec));
-        out.push_str(&format!("      \"min_per_sec\": {:.0},\n", s.min_per_sec));
-        out.push_str(&format!("      \"max_per_sec\": {:.0},\n", s.max_per_sec));
-        out.push_str(&format!("      \"elapsed_sec\": {:.6},\n", s.elapsed_sec));
-        out.push_str(&format!("      \"epochs_advanced\": {}\n", s.epochs));
+        let (max, min) = (m.spread.max_per_sec(m.ops), m.spread.min_per_sec(m.ops));
+        let elapsed = m.spread.best_sec;
+        out.push_str(&format!("      \"per_sec\": {max:.0},\n"));
+        out.push_str(&format!("      \"min_per_sec\": {min:.0},\n"));
+        out.push_str(&format!("      \"max_per_sec\": {max:.0},\n"));
+        out.push_str(&format!("      \"elapsed_sec\": {elapsed:.6},\n"));
+        out.push_str(&format!("      \"epochs_advanced\": {}\n", m.epochs));
         out.push_str(if i + 1 == results.len() {
             "    }\n"
         } else {

@@ -28,21 +28,20 @@
 //! [--seed N] [--out PATH]`
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use uss_bench::{best_of_reps, RepSpread};
 use uss_core::temporal::{
     compact_fold, BucketReport, TemporalConfig, TemporalIngestEngine, TimeRange, WindowConfig,
     WindowedSketchStore,
 };
 use uss_core::StreamSketch;
 
+/// One operation: `ops` operations per rep, timed best-of-reps.
 struct Measurement {
     name: String,
     description: String,
-    ops_per_sec: f64,
-    elapsed_sec: f64,
-    min_ops_per_sec: f64,
-    max_ops_per_sec: f64,
+    ops: f64,
+    spread: RepSpread,
 }
 
 struct Options {
@@ -108,35 +107,6 @@ impl Options {
     }
 }
 
-/// Throughput over the best rep plus the min/max band across all reps, where one
-/// rep performs a fixed number of operations.
-struct Spread {
-    ops_per_sec: f64,
-    elapsed_sec: f64,
-    min_ops_per_sec: f64,
-    max_ops_per_sec: f64,
-}
-
-/// Runs `f` `reps` times. The best rep gives the headline ops/s (noise-stripped);
-/// the worst rep bounds the noise band recorded alongside it.
-fn best_elapsed<F: FnMut()>(reps: usize, ops_per_rep: f64, mut f: F) -> Spread {
-    let mut best = f64::INFINITY;
-    let mut worst = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        let elapsed = start.elapsed().as_secs_f64();
-        best = best.min(elapsed);
-        worst = worst.max(elapsed);
-    }
-    Spread {
-        ops_per_sec: ops_per_rep / best,
-        elapsed_sec: best,
-        min_ops_per_sec: ops_per_rep / worst,
-        max_ops_per_sec: ops_per_rep / best,
-    }
-}
-
 fn skewed_item(i: u64) -> u64 {
     let x = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 33;
     if x.is_multiple_of(4) {
@@ -153,7 +123,7 @@ fn main() {
     // --- ingest: single bucket (no rotation) vs rotating window ---
     for (name, buckets) in [("ingest_single_bucket", 1u64), ("ingest_rotating", 256u64)] {
         let rows_per_bucket = (opts.rows / buckets).max(1);
-        let spread = best_elapsed(opts.reps.clamp(1, 5), opts.rows as f64, || {
+        let (spread, ()) = best_of_reps(opts.reps.clamp(1, 5), || {
             let engine = TemporalIngestEngine::new(
                 TemporalConfig::new(opts.shards, opts.bins, opts.seed, 100, 8)
                     .with_retention(2, 4),
@@ -172,10 +142,8 @@ fn main() {
                 "{} rows over {buckets} bucket(s), {}-shard engine (rows/s)",
                 opts.rows, opts.shards
             ),
-            ops_per_sec: spread.ops_per_sec,
-            elapsed_sec: spread.elapsed_sec,
-            min_ops_per_sec: spread.min_ops_per_sec,
-            max_ops_per_sec: spread.max_ops_per_sec,
+            ops: opts.rows as f64,
+            spread,
         });
     }
 
@@ -200,7 +168,7 @@ fn main() {
             start: cur.saturating_sub(span - 1) * 100,
             end: (cur + 1) * 100,
         };
-        let spread = best_elapsed(opts.reps, f64::from(queries), || {
+        let (spread, ()) = best_of_reps(opts.reps, || {
             for _ in 0..queries {
                 std::hint::black_box(engine.range_snapshot(std::hint::black_box(&range)));
             }
@@ -212,10 +180,8 @@ fn main() {
             } else {
                 format!("memo-served {span}-bucket range repeats, range cache bypassed (queries/s)")
             },
-            ops_per_sec: spread.ops_per_sec,
-            elapsed_sec: spread.elapsed_sec,
-            min_ops_per_sec: spread.min_ops_per_sec,
-            max_ops_per_sec: spread.max_ops_per_sec,
+            ops: f64::from(queries),
+            spread,
         });
     }
     // The pre-ladder baseline: the same widest range folded leaf by leaf.
@@ -225,7 +191,7 @@ fn main() {
         end: (cur + 1) * 100,
     };
     let leaf_queries = (queries / 10).max(2);
-    let spread = best_elapsed(opts.reps.clamp(1, 5), f64::from(leaf_queries), || {
+    let (spread, ()) = best_of_reps(opts.reps.clamp(1, 5), || {
         for _ in 0..leaf_queries {
             std::hint::black_box(engine.range_snapshot_leaf(std::hint::black_box(&leaf_range)));
         }
@@ -233,12 +199,10 @@ fn main() {
     results.push(Measurement {
         name: "range_query_b64_leaf".to_string(),
         description: "uncached 64-bucket leaf-by-leaf reference folds (queries/s)".to_string(),
-        ops_per_sec: spread.ops_per_sec,
-        elapsed_sec: spread.elapsed_sec,
-        min_ops_per_sec: spread.min_ops_per_sec,
-        max_ops_per_sec: spread.max_ops_per_sec,
+        ops: f64::from(leaf_queries),
+        spread,
     });
-    let spread = best_elapsed(opts.reps, f64::from(queries), || {
+    let (spread, ()) = best_of_reps(opts.reps, || {
         for _ in 0..queries {
             std::hint::black_box(engine.range_capture(std::hint::black_box(
                 &TimeRange::LastBuckets(16),
@@ -248,10 +212,8 @@ fn main() {
     results.push(Measurement {
         name: "range_query_cached".to_string(),
         description: "repeated 16-bucket captures at a fixed watermark (hits/s)".to_string(),
-        ops_per_sec: spread.ops_per_sec,
-        elapsed_sec: spread.elapsed_sec,
-        min_ops_per_sec: spread.min_ops_per_sec,
-        max_ops_per_sec: spread.max_ops_per_sec,
+        ops: f64::from(queries),
+        spread,
     });
     drop(engine.finish());
 
@@ -276,7 +238,7 @@ fn main() {
         })
         .collect();
     let compactions: u32 = if opts.quick { 20 } else { 200 };
-    let spread = best_elapsed(opts.reps, f64::from(compactions), || {
+    let (spread, ()) = best_of_reps(opts.reps, || {
         for i in 0..u64::from(compactions) {
             std::hint::black_box(compact_fold(
                 opts.bins,
@@ -293,17 +255,17 @@ fn main() {
             "{factor}-bucket ({}-bin) unbiased compactions (folds/s)",
             opts.bins
         ),
-        ops_per_sec: spread.ops_per_sec,
-        elapsed_sec: spread.elapsed_sec,
-        min_ops_per_sec: spread.min_ops_per_sec,
-        max_ops_per_sec: spread.max_ops_per_sec,
+        ops: f64::from(compactions),
+        spread,
     });
 
     println!("{:<22} {:>14} {:>12}", "operation", "ops/s", "elapsed_s");
     for m in &results {
         println!(
             "{:<22} {:>14.0} {:>12.6}",
-            m.name, m.ops_per_sec, m.elapsed_sec
+            m.name,
+            m.spread.max_per_sec(m.ops),
+            m.spread.best_sec
         );
     }
 
@@ -326,10 +288,12 @@ fn main() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", m.name);
         let _ = writeln!(json, "      \"description\": \"{}\",", m.description);
-        let _ = writeln!(json, "      \"ops_per_sec\": {:.0},", m.ops_per_sec);
-        let _ = writeln!(json, "      \"min_ops_per_sec\": {:.0},", m.min_ops_per_sec);
-        let _ = writeln!(json, "      \"max_ops_per_sec\": {:.0},", m.max_ops_per_sec);
-        let _ = writeln!(json, "      \"elapsed_sec\": {:.6}", m.elapsed_sec);
+        let (max, min) = (m.spread.max_per_sec(m.ops), m.spread.min_per_sec(m.ops));
+        let elapsed = m.spread.best_sec;
+        let _ = writeln!(json, "      \"ops_per_sec\": {max:.0},");
+        let _ = writeln!(json, "      \"min_ops_per_sec\": {min:.0},");
+        let _ = writeln!(json, "      \"max_ops_per_sec\": {max:.0},");
+        let _ = writeln!(json, "      \"elapsed_sec\": {elapsed:.6}");
         let _ = writeln!(json, "    }}{}", if i + 1 < results.len() { "," } else { "" });
     }
     let _ = writeln!(json, "  ]");

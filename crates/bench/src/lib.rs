@@ -77,6 +77,54 @@ impl FigureArgs {
     }
 }
 
+/// Elapsed-time spread of a benchmark config run best-of-reps (see
+/// [`best_of_reps`]), shared by the `bench_*` binaries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RepSpread {
+    /// Elapsed seconds of the fastest rep: the noise-stripped headline figure.
+    pub best_sec: f64,
+    /// Elapsed seconds of the slowest rep: it bounds the noise band.
+    pub worst_sec: f64,
+}
+
+impl RepSpread {
+    /// Rate of `ops` operations per rep over the fastest rep.
+    #[must_use]
+    pub fn max_per_sec(&self, ops: f64) -> f64 {
+        ops / self.best_sec
+    }
+
+    /// Rate of `ops` operations per rep over the slowest rep.
+    #[must_use]
+    pub fn min_per_sec(&self, ops: f64) -> f64 {
+        ops / self.worst_sec
+    }
+}
+
+/// Runs `f` `reps` times (at least once) and returns the elapsed-time spread
+/// plus what `f` returned on the fastest rep.
+pub fn best_of_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (RepSpread, T) {
+    let mut timed = || {
+        let start = std::time::Instant::now();
+        let out = f();
+        (start.elapsed().as_secs_f64(), out)
+    };
+    let (first, mut best_out) = timed();
+    let mut spread = RepSpread {
+        best_sec: first,
+        worst_sec: first,
+    };
+    for _ in 1..reps {
+        let (elapsed, out) = timed();
+        if elapsed < spread.best_sec {
+            spread.best_sec = elapsed;
+            best_out = out;
+        }
+        spread.worst_sec = spread.worst_sec.max(elapsed);
+    }
+    (spread, best_out)
+}
+
 /// Prints a table either as aligned text or CSV depending on the flags.
 pub fn emit(table: &uss_eval::Table, args: &FigureArgs) {
     if args.csv {
@@ -98,6 +146,24 @@ mod tests {
         assert_eq!(args.reps, Some(17));
         assert_eq!(args.seed, Some(3));
         assert_eq!(args.bins, None);
+    }
+
+    #[test]
+    fn best_of_reps_runs_every_rep_and_keeps_the_fastest_reps_value() {
+        let mut calls = 0u64;
+        let (spread, _) = best_of_reps(4, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!(calls, 4);
+        assert!(spread.best_sec <= spread.worst_sec);
+        assert!(spread.max_per_sec(1.0) >= spread.min_per_sec(1.0));
+        let mut calls = 0u64;
+        let (_, out) = best_of_reps(0, || {
+            calls += 1;
+            7
+        });
+        assert_eq!((calls, out), (1, 7));
     }
 
     #[test]

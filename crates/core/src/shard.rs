@@ -50,6 +50,10 @@
 //! ([`ShardState::idle_step`]), so momentary ring gaps during active ingest
 //! never pay for it.
 //!
+//! Every block a handle sends wakes its worker, except under
+//! [`ShardHandle::try_send_quiet`], which leaves parked workers parked until a
+//! ring fills, a quiesce, or [`ShardHandle::wake`] (the daemon's ingest path).
+//!
 //! # Flush on drop, and teardown
 //!
 //! Dropping a handle ships its partial blocks (best-effort) and closes its
@@ -491,9 +495,13 @@ impl<S: ShardState> ShardHandle<S> {
     /// Fallible [`push`](Self::push).
     #[inline]
     pub(crate) fn try_push(&mut self, row: S::Row) -> Result<(), EngineError> {
+        self.try_push_with(row, true)
+    }
+
+    fn try_push_with(&mut self, row: S::Row, wake: bool) -> Result<(), EngineError> {
         let shard = shard_of(S::item(&row), self.senders.len());
         if self.blocks[shard].push(row) {
-            self.try_dispatch(shard)?;
+            self.try_dispatch(shard, wake)?;
         }
         Ok(())
     }
@@ -519,16 +527,49 @@ impl<S: ShardState> ShardHandle<S> {
     ///
     /// [`EngineError::ShardDown`] naming the first dead shard encountered.
     pub fn try_flush(&mut self) -> Result<(), EngineError> {
+        self.try_flush_with(true)
+    }
+
+    /// Offers `rows`, then flushes, like `try_push` per row followed by
+    /// [`try_flush`](Self::try_flush), except that no send wakes a parked
+    /// worker (a full ring still does). The rows are enqueued, so the next
+    /// quiesce (every query and checkpoint) applies them; call
+    /// [`wake`](Self::wake) to start the workers sooner. The daemon ingests
+    /// each request this way and wakes the workers once its reply is written:
+    /// a worker that applies faster than the connection thread decodes would
+    /// otherwise park after every block and be woken for the next, and on a
+    /// host with fewer cores than threads each wake takes the CPU the
+    /// connection thread is decoding on.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::ShardDown`] naming the first dead shard encountered.
+    pub fn try_send_quiet(&mut self, rows: &[S::Row]) -> Result<(), EngineError> {
+        for &row in rows {
+            self.try_push_with(row, false)?;
+        }
+        self.try_flush_with(false)
+    }
+
+    fn try_flush_with(&mut self, wake: bool) -> Result<(), EngineError> {
         let mut first_err = Ok(());
         for shard in 0..self.blocks.len() {
             if !self.blocks[shard].is_empty() {
-                let result = self.try_dispatch(shard);
+                let result = self.try_dispatch(shard, wake);
                 if first_err.is_ok() {
                     first_err = result;
                 }
             }
         }
         first_err
+    }
+
+    /// Unparks every parked destination worker that still has blocks queued
+    /// from this handle; a few atomic loads per shard when none does.
+    pub fn wake(&self) {
+        for sender in &self.senders {
+            sender.wake();
+        }
     }
 
     /// Advances the enqueue hints for an outgoing block and returns it.
@@ -549,19 +590,24 @@ impl<S: ShardState> ShardHandle<S> {
     /// Sends the current block (recycling a spent one in its place), parking
     /// while the ring is full.
     fn dispatch(&mut self, shard: usize) {
-        if self.try_dispatch(shard).is_err() {
+        if self.try_dispatch(shard, true).is_err() {
             panic!("shard worker disconnected");
         }
     }
 
     /// Fallible [`dispatch`](Self::dispatch): a closed ring (dead worker)
-    /// drops the block's rows and reports [`EngineError::ShardDown`].
-    fn try_dispatch(&mut self, shard: usize) -> Result<(), EngineError> {
+    /// drops the block's rows and reports [`EngineError::ShardDown`]. Without
+    /// `wake` a parked worker stays parked unless the ring is full.
+    fn try_dispatch(&mut self, shard: usize, wake: bool) -> Result<(), EngineError> {
         let block = std::mem::replace(&mut self.blocks[shard], self.senders[shard].acquire());
         let block = self.account(block);
-        self.senders[shard]
-            .send(block)
-            .map_err(|_| EngineError::ShardDown { shard })
+        let sender = &mut self.senders[shard];
+        let sent = if wake {
+            sender.send(block)
+        } else {
+            sender.send_quiet(block)
+        };
+        sent.map_err(|_| EngineError::ShardDown { shard })
     }
 }
 
@@ -899,6 +945,26 @@ mod tests {
         let (rows, mass) = engine.finish();
         assert_eq!(rows, 100, "{}", E::NAME);
         assert!((mass - 100.0).abs() < 1e-9, "{}: mass {mass}", E::NAME);
+    }
+
+    #[test]
+    fn quietly_sent_rows_are_applied_by_the_next_quiesce() {
+        // `try_send_quiet` wakes no worker; the range query's quiesce must
+        // still apply every row enqueued before it, whole blocks included,
+        // while the handle stays alive and unwoken.
+        let engine =
+            TemporalIngestEngine::new(TemporalConfig::new(2, 64, 5, 10, 4).with_batch_rows(256));
+        let mut handle = engine.handle();
+        for round in 0..3u64 {
+            let rows: Vec<(u64, u64)> = (0..2_000u64)
+                .map(|i| (i % 700, round * 40 + i / 100))
+                .collect();
+            handle.try_send_quiet(&rows).expect("workers alive");
+            let rows = engine.range_snapshot(&TimeRange::All).rows_processed();
+            assert_eq!(rows, (round + 1) * 2_000);
+        }
+        drop(handle);
+        assert_eq!(engine.finish().rows_processed(), 6_000);
     }
 
     #[test]

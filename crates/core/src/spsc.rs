@@ -33,6 +33,12 @@
 //! waker, and the worker only parks after re-scanning all of its rings with the flag
 //! already set.
 //!
+//! A producer may also push *quietly* ([`RingProducer::push_quiet`],
+//! [`BlockSender::send_quiet`]): the value is published but a parked consumer stays
+//! parked until the producer calls [`RingProducer::wake_consumer`], pushes with a
+//! wake, or drops its end. A quiet push that finds the ring full wakes the consumer
+//! before parking, so producer and consumer never both sleep on a full ring.
+//!
 //! [Lamport queue]: https://en.wikipedia.org/wiki/Non-blocking_algorithm
 
 use std::cell::UnsafeCell;
@@ -240,13 +246,29 @@ pub struct RingProducer<T> {
 }
 
 impl<T> RingProducer<T> {
-    /// Pushes without blocking. `Ok(None)` on success, `Ok(Some(v))` when the ring
-    /// is full, `Err` when the consumer is gone.
+    /// Pushes without blocking, then wakes a parked consumer. `Ok(None)` on
+    /// success, `Ok(Some(v))` when the ring is full, `Err` when the consumer is
+    /// gone.
     ///
     /// # Errors
     ///
     /// [`Disconnected`] when the consumer endpoint has been dropped.
     pub fn try_push(&mut self, value: T) -> Result<Option<T>, Disconnected<T>> {
+        let rejected = self.try_push_quiet(value)?;
+        if rejected.is_none() {
+            self.wake_consumer();
+        }
+        Ok(rejected)
+    }
+
+    /// [`try_push`](Self::try_push) without the wake: a parked consumer stays
+    /// parked until [`wake_consumer`](Self::wake_consumer), a waking push, or
+    /// this producer's drop.
+    ///
+    /// # Errors
+    ///
+    /// [`Disconnected`] when the consumer endpoint has been dropped.
+    pub fn try_push_quiet(&mut self, value: T) -> Result<Option<T>, Disconnected<T>> {
         if self.shared.consumer_closed.load(Ordering::Acquire) {
             return Err(Disconnected(value));
         }
@@ -274,13 +296,22 @@ impl<T> RingProducer<T> {
             (*self.shared.slots[tail & self.shared.mask].get()).write(value);
         }
         self.shared.tail.0.store(tail.wrapping_add(1), Ordering::Release);
+        Ok(None)
+    }
+
+    /// Whether the consumer has popped everything pushed so far.
+    fn is_empty(&self) -> bool {
+        self.shared.head.0.load(Ordering::Acquire) == self.shared.tail.0.load(Ordering::Relaxed)
+    }
+
+    /// Unparks the consumer if it is parked (a no-op for rings built without a
+    /// consumer waker), counting the wakes that found it parked.
+    pub fn wake_consumer(&self) {
         if let Some(waker) = &self.shared.consumer_waker {
             if waker.wake() {
                 self.shared.counters.consumer_wakes.inc();
             }
         }
-        Ok(())
-        .map(|()| None)
     }
 
     /// Pushes, parking this thread while the ring is full.
@@ -289,12 +320,35 @@ impl<T> RingProducer<T> {
     ///
     /// [`Disconnected`] when the consumer endpoint has been dropped.
     pub fn push(&mut self, value: T) -> Result<(), Disconnected<T>> {
+        self.push_blocking(value, true)
+    }
+
+    /// [`push`](Self::push) without the wake on success (see
+    /// [`try_push_quiet`](Self::try_push_quiet)). A full ring still wakes the
+    /// consumer before this thread parks.
+    ///
+    /// # Errors
+    ///
+    /// [`Disconnected`] when the consumer endpoint has been dropped.
+    pub fn push_quiet(&mut self, value: T) -> Result<(), Disconnected<T>> {
+        self.push_blocking(value, false)
+    }
+
+    fn push_blocking(&mut self, value: T, wake: bool) -> Result<(), Disconnected<T>> {
         let mut value = value;
         loop {
-            match self.try_push(value)? {
+            let rejected = if wake {
+                self.try_push(value)?
+            } else {
+                self.try_push_quiet(value)?
+            };
+            match rejected {
                 None => return Ok(()),
                 Some(rejected) => {
                     value = rejected;
+                    // Quiet pushes may have filled the ring without waking the
+                    // consumer; it must run to make room.
+                    self.wake_consumer();
                     self.shared.producer_waker.prepare();
                     // Re-check under the raised flag: the consumer may have popped
                     // (or closed) between the failed push and `prepare`.
@@ -317,9 +371,7 @@ impl<T> RingProducer<T> {
 impl<T> Drop for RingProducer<T> {
     fn drop(&mut self) {
         self.shared.producer_closed.store(true, Ordering::Release);
-        if let Some(waker) = &self.shared.consumer_waker {
-            waker.wake();
-        }
+        self.wake_consumer();
     }
 }
 
@@ -481,6 +533,27 @@ impl<T: Copy + Default> BlockSender<T> {
     /// [`Disconnected`] when the receiver has been dropped.
     pub fn send(&mut self, block: Box<RowBlock<T>>) -> Result<(), Disconnected<Box<RowBlock<T>>>> {
         self.data.push(block)
+    }
+
+    /// [`send`](Self::send) that leaves a parked consumer parked unless the data
+    /// ring is full (see [`RingProducer::push_quiet`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Disconnected`] when the receiver has been dropped.
+    pub fn send_quiet(
+        &mut self,
+        block: Box<RowBlock<T>>,
+    ) -> Result<(), Disconnected<Box<RowBlock<T>>>> {
+        self.data.push_quiet(block)
+    }
+
+    /// Unparks the consumer if it is parked and blocks from this sender are
+    /// still queued (an empty channel has nothing to wake it for).
+    pub fn wake(&self) {
+        if !self.data.is_empty() {
+            self.data.wake_consumer();
+        }
     }
 }
 
@@ -661,6 +734,66 @@ mod tests {
         }
         let sum = consumer.join().expect("consumer thread");
         assert_eq!(sum, N * (N - 1) / 2);
+    }
+
+    #[test]
+    fn threaded_quiet_pushes_never_strand_a_parked_consumer() {
+        // Quiet pushes wake the consumer only when the ring is full, so the
+        // producer must never park on a full ring behind a parked consumer.
+        let waker = Arc::new(Waker::new());
+        let (mut tx, mut rx) = ring::<u64>(4, Some(Arc::clone(&waker)));
+        const N: u64 = 200_000;
+        let consumer = std::thread::spawn(move || {
+            let mut sum = 0u64;
+            let mut seen = 0u64;
+            while seen < N {
+                match rx.pop() {
+                    Some(v) => {
+                        sum += v;
+                        seen += 1;
+                    }
+                    None => {
+                        waker.prepare();
+                        if rx.is_empty() {
+                            waker.park();
+                        } else {
+                            waker.cancel();
+                        }
+                    }
+                }
+            }
+            sum
+        });
+        for v in 0..N {
+            tx.push_quiet(v).expect("consumer alive");
+        }
+        // The tail left in the ring waits for an explicit wake.
+        tx.wake_consumer();
+        let sum = consumer.join().expect("consumer thread");
+        assert_eq!(sum, N * (N - 1) / 2);
+    }
+
+    #[test]
+    fn quiet_sends_leave_a_parked_consumer_parked_until_woken() {
+        let waker = Arc::new(Waker::new());
+        let counters = Arc::new(RingCounters::new());
+        let (mut tx, mut rx) =
+            block_channel_with_counters::<u64>(4, Arc::clone(&waker), Arc::clone(&counters));
+        // This thread stands in for a consumer that has raised its flag to park.
+        waker.prepare();
+        tx.wake();
+        assert!(waker.parked.load(Ordering::SeqCst), "an empty channel wakes nobody");
+        let block = tx.acquire();
+        tx.send_quiet(block).unwrap();
+        assert!(waker.parked.load(Ordering::SeqCst), "a quiet send wakes nobody");
+        tx.wake();
+        assert!(!waker.parked.load(Ordering::SeqCst), "wake with a block queued");
+        assert_eq!(counters.consumer_wakes.get(), 1);
+        waker.prepare();
+        let block = tx.acquire();
+        tx.send(block).unwrap();
+        assert!(!waker.parked.load(Ordering::SeqCst), "a plain send wakes");
+        assert!(rx.recv().is_some() && rx.recv().is_some());
     }
 
     #[test]

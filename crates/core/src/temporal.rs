@@ -2254,33 +2254,31 @@ mod worker {
         }
 
         /// Applies one block of `(item, timestamp)` rows as maximal runs of
-        /// consecutive rows whose timestamps fall in one fine bucket. Equal
-        /// timestamps are rare (a daemon stream averages 1.3 rows per
-        /// equal-timestamp run per shard), but a block usually lies in one
-        /// bucket. The first row of a run fixes the bucket's time span
-        /// `[lo, lo + width)`; later rows join the run by two comparisons, with
-        /// no division. Each run goes through one `offer_batch_at` stamped with
-        /// its largest timestamp, which is bit-identical to per-row offers
-        /// (see `WindowedSketchStore::offer_batch_at`).
+        /// consecutive rows whose timestamps fall in one fine bucket, so a
+        /// run may mix timestamps (on perfbench's ad-click stream,
+        /// equal-timestamp runs averaged 1.3 rows per shard, while a block
+        /// mostly lies in one bucket). The first row of a run fixes the
+        /// bucket's time span `[lo, lo + width)`; later rows join the run by
+        /// two comparisons, with no division. Each run goes through one
+        /// `offer_batch_at` stamped with its largest timestamp, which is
+        /// bit-identical to per-row offers (see
+        /// `WindowedSketchStore::offer_batch_at`).
         fn apply(&mut self, rows: &[(u64, u64)]) {
             let width = self.store.config.bucket_width;
             let mut i = 0;
             while i < rows.len() {
                 let first = rows[i].1;
                 let lo = first - first % width;
-                let mut max_ts = first;
+                let end = i + rows[i..]
+                    .iter()
+                    .position(|&(_, ts)| ts < lo || ts - lo >= width)
+                    .unwrap_or(rows.len() - i);
+                let run = &rows[i..end];
+                let max_ts = run.iter().fold(first, |m, &(_, ts)| m.max(ts));
                 self.run_items.clear();
-                self.run_items.push(rows[i].0);
-                i += 1;
-                while let Some(&(item, ts)) = rows.get(i) {
-                    if ts < lo || ts - lo >= width {
-                        break;
-                    }
-                    max_ts = max_ts.max(ts);
-                    self.run_items.push(item);
-                    i += 1;
-                }
+                self.run_items.extend(run.iter().map(|&(item, _)| item));
                 self.store.offer_batch_at(&self.run_items, max_ts);
+                i = end;
             }
         }
 

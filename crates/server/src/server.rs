@@ -578,6 +578,11 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         if write_frame(&mut stream, &response.encode()).is_err() {
             return;
         }
+        // Start the shard workers on the rows this request enqueued (see
+        // `ingest`); a no-op for workers that are not parked.
+        for (handle, _) in handles.values() {
+            handle.wake();
+        }
         // Counted after the write: a quiescent snapshot (all responses
         // received) satisfies requests[k] == latency[k].count exactly, and a
         // Stats snapshot never half-counts the request that produced it.
@@ -843,10 +848,10 @@ fn ingest(
     };
     entry.requests[IDX_INGEST].inc();
     // Flush after every batch so the acknowledged rows are query-visible and
-    // survive a checkpoint the moment the response is on the wire.
-    let result = handle
-        .try_offer_batch_at(rows)
-        .and_then(|()| handle.try_flush());
+    // survive a checkpoint the moment the response is on the wire. The sends
+    // leave the workers parked; `serve_connection` wakes them once the reply
+    // is written, so they do not compete with this thread for the CPU first.
+    let result = handle.try_send_quiet(rows);
     match result {
         Ok(()) => Response::Ingested {
             rows: rows.len() as u64,
