@@ -69,9 +69,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The only `unsafe` in the workspace lives in `spsc`; inside its `unsafe fn`
-// bodies every unsafe operation must still be wrapped in an explicit `unsafe`
-// block carrying its own `// SAFETY:` justification (uss-lint rule R4).
+// The only `unsafe` in the workspace lives in `spsc`. Every unsafe operation,
+// even inside an `unsafe fn`, sits in an explicit `unsafe` block carrying its
+// own `// SAFETY:` justification (`clippy::undocumented_unsafe_blocks`, denied
+// workspace-wide).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod distributed;

@@ -21,17 +21,56 @@ use crate::reduction::{combine_entries, pps_reduce, threshold_reduce};
 use crate::space_saving::{DeterministicSpaceSaving, UnbiasedSpaceSaving, WeightedSpaceSaving};
 use crate::traits::{MergeableSketch, StreamSketch};
 
+// ----- fold-site salts -----
+//
+// Every unbiased fold site seeds its RNG with `base_seed ^ SALT`, so two sites
+// sharing a salt would draw the same stream for the same base seed and
+// correlate draws Theorem 2 treats as independent. All of them are listed in
+// `FOLD_SITE_SALTS`, which a const assertion keeps pairwise distinct.
+
 /// Salt XOR-ed into a base seed to derive the RNG stream driving an unbiased
 /// PPS fold ([`fold_unbiased`] / [`fold_unbiased_multiway`]) at its call sites.
-/// Every `*_SALT` constant in the workspace must be pairwise distinct so no two
-/// derived RNG streams can collide for the same base seed (enforced by
-/// `uss-lint` rule R3).
 pub const FOLD_MERGE_SALT: u64 = 0xD15C0;
 
 /// Salt XOR-ed into a base seed to derive the folded *output* sketch's own RNG
 /// seed — distinct from [`FOLD_MERGE_SALT`] so the fold's subsampling draws and
 /// the output sketch's future eviction draws come from unrelated streams.
 pub const FOLD_OUT_SALT: u64 = 0xFEED;
+
+/// Tier compaction's fold and output salts ([`crate::temporal::compact_fold`]).
+pub(crate) const TIER_MERGE_SALT: u64 = 0x00C0_FFEE;
+pub(crate) const TIER_OUT_SALT: u64 = 0xFACE;
+
+/// Dyadic-ladder node folds and per-shard span pre-merges (temporal store).
+pub(crate) const LADDER_MERGE_SALT: u64 = 0xD1AD_1C00;
+pub(crate) const LADDER_OUT_SALT: u64 = 0xD1AD_1C01;
+pub(crate) const SPAN_MERGE_SALT: u64 = 0xD1AD_1C02;
+
+/// The PPS reduction of a two-sketch [`merge_unbiased`].
+const PAIR_MERGE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+const FOLD_SITE_SALTS: [u64; 8] = [
+    FOLD_MERGE_SALT,
+    FOLD_OUT_SALT,
+    TIER_MERGE_SALT,
+    TIER_OUT_SALT,
+    LADDER_MERGE_SALT,
+    LADDER_OUT_SALT,
+    SPAN_MERGE_SALT,
+    PAIR_MERGE_SALT,
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < FOLD_SITE_SALTS.len() {
+        let mut j = i + 1;
+        while j < FOLD_SITE_SALTS.len() {
+            assert!(FOLD_SITE_SALTS[i] != FOLD_SITE_SALTS[j], "two fold sites share a salt");
+            j += 1;
+        }
+        i += 1;
+    }
+};
 
 /// Biased Misra-Gries style merge of two entry lists down to `capacity` entries.
 /// Returns the soft-thresholded entries (estimates in the *Misra-Gries* convention,
@@ -153,7 +192,7 @@ pub fn merge_unbiased(
 ) -> WeightedSpaceSaving {
     let capacity = a.capacity().max(b.capacity());
     let mut out = WeightedSpaceSaving::with_seed(capacity, seed);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ PAIR_MERGE_SALT);
     let entries = merge_unbiased_entries(&a.entries(), &b.entries(), capacity, &mut rng);
     let rows = (a.rows_processed() + b.rows_processed()) as f64;
     out.load_entries(entries, rows);

@@ -9,8 +9,9 @@
 //!    (`try_push` success, `ShardWorker::apply`) pays at most one counter add
 //!    *per block* (254 rows), never per row. Slow paths (ring full, parks,
 //!    rotations, compactions) carry the per-event counters.
-//! 2. **Deterministic core.** `uss-core` never reads a wall clock (uss-lint
-//!    rule R5); durations enter only through the [`Clock`] trait, whose real
+//! 2. **Deterministic core.** `uss-core` never reads a wall clock (clippy
+//!    bans `Instant` and `SystemTime` here, `crates/core/clippy.toml`);
+//!    durations enter only through the [`Clock`] trait, whose real
 //!    implementation lives in `uss-server` and the benches. Core ships the
 //!    deterministic [`ManualClock`] for tests.
 //! 3. **One sample builder.** The wire `Stats` snapshot and the Prometheus
@@ -256,8 +257,9 @@ impl HistogramSnapshot {
 }
 
 /// A monotonic nanosecond time source. `uss-core` itself never reads a wall
-/// clock (uss-lint R5 keeps the deterministic crates clock-free); callers
-/// that want real durations inject one from a non-deterministic crate —
+/// clock (clippy's `disallowed-types` keeps the deterministic crates
+/// clock-free); callers that want real durations inject one from a
+/// non-deterministic crate —
 /// `uss-server` and the benches implement this over the OS monotonic clock.
 pub trait Clock: Send + Sync {
     /// Nanoseconds elapsed since an arbitrary fixed origin.

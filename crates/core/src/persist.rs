@@ -70,6 +70,19 @@
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
+// Total decode: hostile bytes must come back as typed errors, never a panic.
+// Denied for the whole file, encoders included; tests may unwrap (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::panic_in_result_fn
+)]
+
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -153,6 +166,22 @@ pub enum SketchKind {
 }
 
 impl SketchKind {
+    /// The kind registry: every kind, at the index of its header byte. A new
+    /// kind is appended here; rustc then flags every exhaustive `match` on
+    /// the kind (`ColdSnapshot::open`, `merge_files`, `Display`) until it is
+    /// handled.
+    pub const ALL: [SketchKind; 9] = [
+        Self::Snapshot,
+        Self::Unbiased,
+        Self::Weighted,
+        Self::EngineShard,
+        Self::Manifest,
+        Self::Decayed,
+        Self::TemporalShard,
+        Self::TemporalManifest,
+        Self::TemporalLadderShard,
+    ];
+
     /// The header byte encoding this kind — the inverse of [`Self::from_byte`].
     /// Exists so decode paths compare kind bytes without an `as` cast.
     pub(crate) fn byte(self) -> u8 {
@@ -160,20 +189,18 @@ impl SketchKind {
     }
 
     fn from_byte(byte: u8) -> Option<Self> {
-        match byte {
-            0 => Some(Self::Snapshot),
-            1 => Some(Self::Unbiased),
-            2 => Some(Self::Weighted),
-            3 => Some(Self::EngineShard),
-            4 => Some(Self::Manifest),
-            5 => Some(Self::Decayed),
-            6 => Some(Self::TemporalShard),
-            7 => Some(Self::TemporalManifest),
-            8 => Some(Self::TemporalLadderShard),
-            _ => None,
-        }
+        Self::ALL.get(usize::from(byte)).copied()
     }
 }
+
+// `from_byte` indexes `ALL` by byte, so each kind must sit at its own byte.
+const _: () = {
+    let mut i = 0;
+    while i < SketchKind::ALL.len() {
+        assert!(SketchKind::ALL[i] as usize == i, "SketchKind::ALL is out of byte order");
+        i += 1;
+    }
+};
 
 impl fmt::Display for SketchKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -428,7 +455,6 @@ pub struct PayloadReader<'a> {
     pos: usize,
 }
 
-// lint: total-decode — every reader primitive feeds hostile bytes to callers.
 impl<'a> PayloadReader<'a> {
     /// Starts reading at the front of `bytes`.
     #[must_use]
@@ -515,7 +541,6 @@ impl<'a> PayloadReader<'a> {
 
 /// Copies a slice the caller has already length-checked into a fixed-size
 /// array, so frame readers never reach for `try_into().unwrap()`.
-// lint: total-decode
 fn header_array<const N: usize>(slice: &[u8]) -> [u8; N] {
     let mut out = [0u8; N];
     out.copy_from_slice(slice);
@@ -648,6 +673,10 @@ fn write_unbiased_payload(w: &mut PayloadWriter, sketch: &UnbiasedSpaceSaving) {
     w.u64(dump.buckets.len() as u64);
     for (value, chain) in &dump.buckets {
         w.u64(*value);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a chain holds at most `capacity` slots; StreamSummary caps it at u32::MAX / 4"
+        )]
         w.u32(chain.len() as u32);
         for &slot in chain {
             w.u32(slot);
@@ -1060,7 +1089,7 @@ fn write_temporal_shard_payload(
         write_unbiased_payload(w, sketch);
     }
     w.u64(meta.tiers);
-    for t in 0..meta.tiers as usize {
+    for t in 0..store.config().tiers {
         let buckets = store.tier_buckets(t);
         w.u64(buckets.len() as u64);
         for bucket in buckets {
@@ -1078,7 +1107,9 @@ fn write_temporal_shard_payload(
 
 /// Encodes one temporal bucket-ring frame: a shard's complete
 /// [`WindowedSketchStore`] — fine buckets as full resumable unbiased payloads,
-/// compacted tiers and the terminal bucket as entry lists.
+/// compacted tiers and the terminal bucket as entry lists. `meta` must echo
+/// the store's own geometry ([`TemporalMeta::from_config`]): the frame carries
+/// the store's tiers, and decode rejects a tier count `meta` disagrees with.
 #[must_use]
 pub fn encode_temporal_shard(
     shard: u64,
@@ -1339,7 +1370,6 @@ pub struct ColdSnapshot {
 
 impl ColdSnapshot {
     /// Reads and decodes `path`.
-    // lint: total-decode — accepts any frame kind straight off disk.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         let path = path.as_ref().to_path_buf();
         let bytes = std::fs::read(&path)?;
@@ -1408,6 +1438,16 @@ mod tests {
             sketch.offer(i % 120);
         }
         sketch
+    }
+
+    #[test]
+    fn header_gate_admits_exactly_the_registered_kinds() {
+        let mut frame = encode_snapshot(&sample_unbiased().snapshot());
+        for byte in 0..=u8::MAX {
+            frame[6] = byte;
+            let registered = SketchKind::ALL.iter().copied().find(|kind| kind.byte() == byte);
+            assert_eq!(peek_kind(&frame).ok(), registered, "kind byte {byte}");
+        }
     }
 
     /// The bytewise CRC-64 the sliced one must reproduce bit for bit: the

@@ -147,7 +147,10 @@ use rand::SeedableRng;
 use crate::engine::{shard_of, EngineError};
 use crate::estimator::SketchSnapshot;
 use crate::hash::{splitmix64, FxHashMap};
-use crate::merge::{fold_unbiased, fold_unbiased_multiway, FOLD_MERGE_SALT, FOLD_OUT_SALT};
+use crate::merge::{
+    fold_unbiased, fold_unbiased_multiway, FOLD_MERGE_SALT, FOLD_OUT_SALT, LADDER_MERGE_SALT,
+    LADDER_OUT_SALT, SPAN_MERGE_SALT, TIER_MERGE_SALT, TIER_OUT_SALT,
+};
 use crate::metrics::{EngineMetrics, TemporalMetrics};
 use crate::persist::{self, PersistError};
 use crate::query::SnapshotSource;
@@ -397,8 +400,8 @@ pub fn compact_fold(
     let salt = splitmix64(start ^ end.rotate_left(32));
     let merged = fold_unbiased_multiway(
         capacity,
-        base_seed ^ 0x00C0_FFEE ^ salt,
-        base_seed ^ 0xFACE ^ salt,
+        base_seed ^ TIER_MERGE_SALT ^ salt,
+        base_seed ^ TIER_OUT_SALT ^ salt,
         parts.into_iter().map(|b| (b.entries, b.rows)),
     );
     TierBucket {
@@ -441,13 +444,6 @@ struct FineBucket {
     index: u64,
     sketch: UnbiasedSpaceSaving,
 }
-
-/// Seed salts for dyadic-ladder node folds and per-shard span pre-merges.
-/// Distinct from the tier-compaction constants in [`compact_fold`] so no two
-/// fold sites ever share an RNG stream over the same span.
-const LADDER_MERGE_SALT: u64 = 0xD1AD_1C00;
-const LADDER_OUT_SALT: u64 = 0xD1AD_1C01;
-const SPAN_MERGE_SALT: u64 = 0xD1AD_1C02;
 
 /// How many pre-merged span reports a store memoizes (keyed by the span and
 /// the applied-row watermark, so any ingest invalidates naturally). Matches

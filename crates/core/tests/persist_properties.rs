@@ -311,13 +311,16 @@ proptest! {
     /// Garbage prefixed with a valid header shell still never panics, exercising
     /// the payload readers rather than the frame gate.
     #[test]
-    fn framed_garbage_never_panics(payload in vec(any::<u8>(), 0..400), kind in 0u8..9) {
+    fn framed_garbage_never_panics(
+        payload in vec(any::<u8>(), 0..400),
+        kind in 0..persist::SketchKind::ALL.len(),
+    ) {
         // Hand-build a frame with a correct magic/version/len/CRC around a random
         // payload, so decoding reaches the kind-specific parsing and validation.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&persist::MAGIC);
         bytes.extend_from_slice(&persist::FORMAT_VERSION.to_le_bytes());
-        bytes.push(kind);
+        bytes.push(persist::SketchKind::ALL[kind] as u8);
         bytes.push(0);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&payload);

@@ -76,6 +76,19 @@
 //! s × (sample-text, value u64)` where sample-text is a u32-length-prefixed
 //! utf-8 rendered sample name (`family{labels}`), capped at 4096 bytes.
 
+// Total decode: hostile bytes must come back as typed errors, never a panic.
+// Denied for the whole file, encoders included; tests may unwrap (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::panic_in_result_fn
+)]
+
 use std::io::{Read, Write};
 
 use uss_core::persist::{
@@ -404,11 +417,35 @@ const KIND_SHUTTING_DOWN: u8 = 0x47;
 const KIND_STATS_REPLY: u8 = 0x48;
 const KIND_ERROR: u8 = 0x7F;
 
+/// The request kind registry, in [`request_kind_index`] order.
+pub const REQUEST_KINDS: [u8; REQUEST_KIND_COUNT] = [
+    KIND_PING,
+    KIND_CREATE_STREAM,
+    KIND_LIST_STREAMS,
+    KIND_INGEST,
+    KIND_QUERY,
+    KIND_MARGINALS,
+    KIND_SHUTDOWN,
+    KIND_STATS,
+];
+
+/// The response kind registry, ascending; the error kind (`0x7F`) stands
+/// apart from it.
+pub const RESPONSE_KINDS: [u8; 8] = [
+    KIND_PONG,
+    KIND_STREAM_CREATED,
+    KIND_STREAMS,
+    KIND_INGESTED,
+    KIND_ANSWER,
+    KIND_MARGINALS_ANSWER,
+    KIND_SHUTTING_DOWN,
+    KIND_STATS_REPLY,
+];
+
 // ----- frame layer -----
 
 /// Copies a slice the caller has already length-checked into a fixed-size
 /// array, so frame readers never reach for `try_into().unwrap()`.
-// lint: total-decode
 fn header_array<const N: usize>(slice: &[u8]) -> [u8; N] {
     let mut out = [0u8; N];
     out.copy_from_slice(slice);
@@ -523,7 +560,8 @@ pub fn write_frame<W: Write>(writer: &mut W, frame: &[u8]) -> Result<(), WireErr
 // ----- payload helpers -----
 
 fn write_name(w: &mut PayloadWriter, name: &str) {
-    w.u32(name.len() as u32);
+    // Saturates only past 4 GiB, far beyond the MAX_NAME_LEN every reader enforces.
+    w.u32(u32::try_from(name.len()).unwrap_or(u32::MAX));
     w.bytes(name.as_bytes());
 }
 
@@ -1192,6 +1230,7 @@ impl Response {
 fn write_name_unchecked(w: &mut PayloadWriter, message: &str) {
     let bytes = message.as_bytes();
     let len = bytes.len().min(4096);
+    #[expect(clippy::cast_possible_truncation, reason = "an error message is capped at 4096 bytes")]
     w.u32(len as u32);
     w.bytes(&bytes[..len]);
 }
@@ -1476,12 +1515,28 @@ mod tests {
 
     #[test]
     fn request_kind_indices_cover_every_request() {
-        for kind in 1u8..=REQUEST_KIND_COUNT as u8 {
-            assert_eq!(request_kind_index(kind), Some(usize::from(kind) - 1));
+        for byte in 0..=u8::MAX {
+            let index = REQUEST_KINDS.iter().position(|&kind| kind == byte);
+            assert_eq!(request_kind_index(byte), index, "kind {byte:#04x}");
         }
-        assert_eq!(request_kind_index(0), None);
-        assert_eq!(request_kind_index(REQUEST_KIND_COUNT as u8 + 1), None);
-        assert_eq!(request_kind_index(KIND_PONG), None);
+    }
+
+    #[test]
+    fn header_gate_admits_exactly_the_registered_kinds() {
+        let registered: Vec<u8> =
+            REQUEST_KINDS.iter().chain(&RESPONSE_KINDS).chain(&[KIND_ERROR]).copied().collect();
+        // Strictly ascending: the kind bytes are distinct, and the fuzz suite's
+        // "last kind + 1" is the first undefined byte of each table.
+        assert!(
+            registered.windows(2).all(|w| w[0] < w[1]),
+            "wire kind bytes collide or are out of order"
+        );
+        let mut header = Request::Ping.encode();
+        for byte in 0..=u8::MAX {
+            header[6] = byte;
+            let admitted = check_header(&header[..HEADER_LEN]).is_ok();
+            assert_eq!(admitted, registered.contains(&byte), "kind {byte:#04x}");
+        }
     }
 
     #[test]

@@ -15,21 +15,22 @@ use proptest::prelude::*;
 
 use uss_core::persist::TemporalMeta;
 use uss_core::{Query, TimeRange};
-use uss_server::wire::{decode_response_frame, Request, Response, HEADER_LEN};
+use uss_server::wire::{
+    decode_response_frame, Request, Response, HEADER_LEN, REQUEST_KINDS, RESPONSE_KINDS,
+};
 use uss_server::{ServerConfig, SketchClient, SketchServer};
 
 /// How long a fuzz connection waits for a response before concluding the
 /// server (correctly) chose to wait for more bytes instead of answering.
 const HOSTILE_READ_TIMEOUT: Duration = Duration::from_millis(300);
 
-/// One past the highest defined *request* kind (`0x01..=0x08`). uss-lint R2
-/// pins this to the `KIND_*` registry in `wire.rs`: adding a request kind
-/// without extending the fuzz coverage here fails the lint.
-const FIRST_UNDEFINED_REQUEST_KIND: u8 = 0x09;
+/// One past the highest defined *request* kind, read off the registry, so a
+/// new request kind moves the probe with it.
+const FIRST_UNDEFINED_REQUEST_KIND: u8 = REQUEST_KINDS[REQUEST_KINDS.len() - 1] + 1;
 
-/// One past the highest defined *response* kind (`0x41..=0x48`, error `0x7F`
-/// aside). Pinned by uss-lint R2 like its request-side twin.
-const FIRST_UNDEFINED_RESPONSE_KIND: u8 = 0x49;
+/// One past the highest defined *response* kind (the error kind `0x7F`
+/// aside), read off the registry like its request-side twin.
+const FIRST_UNDEFINED_RESPONSE_KIND: u8 = RESPONSE_KINDS[RESPONSE_KINDS.len() - 1] + 1;
 
 /// One daemon shared by every fuzz case: survival across the whole battery is
 /// exactly the property under test.
@@ -254,6 +255,7 @@ fn unknown_kind_with_valid_checksum_is_rejected() {
     // Build a frame with an undefined kind byte but a *correct* checksum, so
     // only the kind gate can reject it.
     let mut frame = Request::Ping.encode();
+    assert!(!REQUEST_KINDS.contains(&0x3F) && !RESPONSE_KINDS.contains(&0x3F));
     frame[6] = 0x3F;
     let body_len = frame.len() - 8;
     let crc = uss_core::persist::crc64(&frame[..body_len]);
