@@ -14,7 +14,6 @@
 
 use crate::engine::{EngineConfig, ShardedIngestEngine};
 use crate::merge::{fold_unbiased, FOLD_MERGE_SALT, FOLD_OUT_SALT};
-use crate::query::{QueryServer, QueryServerConfig};
 use crate::space_saving::{UnbiasedSpaceSaving, WeightedSpaceSaving};
 use crate::traits::StreamSketch;
 
@@ -72,18 +71,6 @@ impl DistributedSketcher {
             }
         });
         engine.finish()
-    }
-
-    /// Sketches the partitions and stands up a [`QueryServer`] over the merged
-    /// result, so map-reduce outputs are queried through the same serving layer —
-    /// typed queries, variance, confidence intervals, marginals — as live engines.
-    #[must_use]
-    pub fn serve(
-        &self,
-        partitions: &[Vec<u64>],
-        config: QueryServerConfig,
-    ) -> QueryServer<WeightedSpaceSaving> {
-        QueryServer::new(self.sketch_partitions(partitions), config)
     }
 
     /// Merges an iterator of mapper sketches (the reduce step), preserving
@@ -260,17 +247,27 @@ mod tests {
     }
 
     #[test]
-    fn serve_answers_queries_identical_to_the_merged_sketch() {
+    fn sketch_partitions_answers_like_a_sequential_reduce() {
+        use crate::query::{answer_query, Query};
         let sketcher = DistributedSketcher::new(50, 11);
         let parts = partitions();
-        let direct = sketcher.sketch_partitions(&parts).snapshot();
-        let server = sketcher.serve(&parts, QueryServerConfig::new());
-        // Same seeds on both paths: the served snapshot is the same merge.
-        let (est, ci) = server.subset_estimate_where(|i| i == 1);
-        assert_eq!(est.sum, direct.subset_sum(|i| i == 1));
-        assert!(ci.contains(est.sum));
-        assert_eq!(server.top_k(5), direct.top_k(5));
-        assert_eq!(server.epoch(), 1);
+        let sharded = sketcher.sketch_partitions(&parts).snapshot();
+        // Mapper i sketched sequentially under seed + i, then reduced: the
+        // same sketches and fold seeds, so the same bits.
+        let sequential = sketcher
+            .reduce(parts.iter().enumerate().map(|(i, part)| {
+                let mut sketch = UnbiasedSpaceSaving::with_seed(50, 11 + i as u64);
+                sketch.offer_batch(part);
+                sketch
+            }))
+            .snapshot();
+        assert_eq!(sharded, sequential);
+        for query in [Query::SubsetSum { items: vec![1] }, Query::TopK { k: 5 }] {
+            assert_eq!(
+                answer_query(&sharded, &query, 0.95),
+                answer_query(&sequential, &query, 0.95)
+            );
+        }
     }
 
     #[test]

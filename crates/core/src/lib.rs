@@ -41,10 +41,10 @@
 //!
 //! Hot ingest paths should prefer [`traits::StreamSketch::offer_batch`] (exactly
 //! equivalent, measurably faster), and concurrent multi-producer pipelines the
-//! [`engine`] module's [`ShardedIngestEngine`](engine::ShardedIngestEngine). For
-//! serving queries *while* ingest continues, put a [`query::QueryServer`] in front:
-//! it caches an epoch-versioned snapshot and answers typed queries with variance
-//! and confidence intervals from any number of reader threads.
+//! [`engine`] module's [`ShardedIngestEngine`](engine::ShardedIngestEngine). To
+//! query *while* ingest continues, capture a snapshot from the engine and answer
+//! typed queries against it with [`query::answer_query`]: the snapshot is
+//! immutable, so any number of reader threads can share it behind an `Arc`.
 //!
 //! ## Crate layout
 //!
@@ -58,7 +58,7 @@
 //! | `shard` | (crate-private) the shard runtime both ingest engines run on: handles, worker loop, quiesce cuts, checkpoint fan-out |
 //! | [`metrics`] | lock-free runtime telemetry: cache-padded counters/gauges, log₂ histograms, the deterministic [`Clock`](metrics::Clock) trait, and the static metric-family registry |
 //! | [`spsc`] | lock-free single-producer/single-consumer block rings — the engines' ingest transport |
-//! | [`query`] | the concurrent query-serving layer: epoch-versioned cached snapshots over a live engine or sketch, typed queries with variance and confidence intervals |
+//! | [`query`] | typed queries (subset sum, proportion, top-k, frequent items, rank quantile) answered against a captured snapshot, with variance and confidence intervals |
 //! | [`temporal`] | the time-partitioned subsystem: windowed ingest over a bucket ring, time-range queries, tiered retention with graceful aging |
 //! | [`persist`] | durable snapshots: versioned checksummed binary codec, engine checkpoint files, bucket-ring/temporal frames, cold-file serving |
 //! | [`distributed`] | map-reduce style sharded sketching, a deterministic convenience wrapper over the engine |
@@ -102,17 +102,14 @@ pub use metrics::{
     RingCounters, ShardMetrics, TemporalMetrics,
 };
 pub use persist::{ColdSnapshot, PayloadReader, PayloadWriter, PersistError, SketchKind};
-pub use query::{
-    answer_query, Query, QueryAnswer, QueryResponse, QueryServer, QueryServerConfig,
-    SnapshotSource, VersionedSnapshot,
-};
+pub use query::{answer_query, Query, QueryAnswer};
 pub use space_saving::{
     DecayedSpaceSaving, DeterministicSpaceSaving, UnbiasedSpaceSaving, WeightedSpaceSaving,
 };
 pub use stream_summary::StreamSummary;
 pub use temporal::{
-    TemporalConfig, TemporalConfigError, TemporalIngestEngine, TemporalIngestHandle,
-    TemporalRangeSource, TimeRange, WindowConfig, WindowConfigError, WindowedSketchStore,
+    TemporalConfig, TemporalConfigError, TemporalIngestEngine, TemporalIngestHandle, TimeRange,
+    WindowConfig, WindowConfigError, WindowedSketchStore,
 };
 pub use traits::{MergeableSketch, StreamSketch, WeightedStreamSketch};
 pub use variance::{normal_confidence_interval, subset_variance_estimate, ConfidenceInterval};
@@ -125,16 +122,13 @@ pub mod prelude {
     pub use crate::hash::{combine, hash_bytes, hash_fields};
     pub use crate::merge::{merge_deterministic, merge_misra_gries, merge_unbiased};
     pub use crate::persist::{ColdSnapshot, PersistError, SketchKind};
-    pub use crate::query::{
-        Query, QueryAnswer, QueryResponse, QueryServer, QueryServerConfig, SnapshotSource,
-        VersionedSnapshot,
-    };
+    pub use crate::query::{answer_query, Query, QueryAnswer};
     pub use crate::space_saving::{
         DecayedSpaceSaving, DeterministicSpaceSaving, UnbiasedSpaceSaving, WeightedSpaceSaving,
     };
     pub use crate::temporal::{
-        TemporalConfig, TemporalIngestEngine, TemporalIngestHandle, TemporalRangeSource,
-        TimeRange, WindowConfig, WindowedSketchStore,
+        TemporalConfig, TemporalIngestEngine, TemporalIngestHandle, TimeRange, WindowConfig,
+        WindowedSketchStore,
     };
     pub use crate::traits::{MergeableSketch, StreamSketch, WeightedStreamSketch};
     pub use crate::variance::{normal_confidence_interval, ConfidenceInterval};

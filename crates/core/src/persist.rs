@@ -3,8 +3,8 @@
 //!
 //! Every sketch in this workspace is otherwise process-lifetime state; this module
 //! is the persistence layer underneath [`crate::engine::ShardedIngestEngine::checkpoint`] /
-//! [`restore`](crate::engine::ShardedIngestEngine::restore), the cold-serving
-//! [`ColdSnapshot`] source for [`crate::query::QueryServer`], and the shard-file
+//! [`restore`](crate::engine::ShardedIngestEngine::restore), cold serving through
+//! [`ColdSnapshot`] and [`crate::query::answer_query`], and the shard-file
 //! merge path [`crate::distributed::DistributedSketcher::merge_files`]. Ting's
 //! sketches are the ideal unit of durability: the unbiased PPS merge (section 5.5)
 //! makes a shard file folded *later* statistically identical to a live merge, so a
@@ -63,10 +63,13 @@
 //! let path = dir.join("sketch.uss");
 //! persist::save_unbiased(&path, &sketch).unwrap();
 //!
-//! // A cold file serves queries bit-identically to the live sketch.
+//! // A cold file answers queries bit-identically to the live sketch.
 //! let cold = persist::ColdSnapshot::open(&path).unwrap();
-//! let server = QueryServer::new(cold, QueryServerConfig::new());
-//! assert_eq!(server.top_k(5), sketch.snapshot().top_k(5));
+//! let query = Query::TopK { k: 5 };
+//! assert_eq!(
+//!     answer_query(cold.snapshot(), &query, 0.95),
+//!     answer_query(&sketch.snapshot(), &query, 0.95),
+//! );
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
@@ -88,7 +91,6 @@ use std::path::{Path, PathBuf};
 
 use crate::estimator::SketchSnapshot;
 use crate::merge::{FOLD_MERGE_SALT, FOLD_OUT_SALT};
-use crate::query::SnapshotSource;
 use crate::space_saving::{DecayedSpaceSaving, UnbiasedSpaceSaving, WeightedSpaceSaving};
 use crate::stream_summary::SummaryDump;
 use crate::temporal::{TemporalConfig, TierBucket, WindowConfig, WindowedSketchStore};
@@ -126,10 +128,29 @@ fn checked_capacity(capacity: u64) -> Result<usize, PersistError> {
         .map_err(|_| PersistError::Corrupt(format!("capacity {capacity} overflows usize")))
 }
 
-/// What a frame holds; byte 6 of the header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum SketchKind {
+/// Declares [`SketchKind`] and its registry [`SketchKind::ALL`] from one list,
+/// so a kind cannot exist without its registry entry.
+macro_rules! sketch_kinds {
+    ($($(#[$doc:meta])* $kind:ident = $byte:literal,)+) => {
+        /// What a frame holds; byte 6 of the header.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum SketchKind {
+            $($(#[$doc])* $kind = $byte,)+
+        }
+
+        impl SketchKind {
+            /// The kind registry: every kind, at the index of its header byte.
+            /// Generated with the enum, so a new kind appended to
+            /// `sketch_kinds!` lands here too; rustc then flags every
+            /// exhaustive `match` on the kind (`ColdSnapshot::open`,
+            /// `merge_files`, `Display`) until it is handled.
+            pub const ALL: [SketchKind; [$($byte),+].len()] = [$(Self::$kind),+];
+        }
+    };
+}
+
+sketch_kinds! {
     /// A cold [`SketchSnapshot`]: entries + `N̂_min` + rows. Enough to answer every
     /// estimator query, but not to resume ingest.
     Snapshot = 0,
@@ -166,22 +187,6 @@ pub enum SketchKind {
 }
 
 impl SketchKind {
-    /// The kind registry: every kind, at the index of its header byte. A new
-    /// kind is appended here; rustc then flags every exhaustive `match` on
-    /// the kind (`ColdSnapshot::open`, `merge_files`, `Display`) until it is
-    /// handled.
-    pub const ALL: [SketchKind; 9] = [
-        Self::Snapshot,
-        Self::Unbiased,
-        Self::Weighted,
-        Self::EngineShard,
-        Self::Manifest,
-        Self::Decayed,
-        Self::TemporalShard,
-        Self::TemporalManifest,
-        Self::TemporalLadderShard,
-    ];
-
     /// The header byte encoding this kind — the inverse of [`Self::from_byte`].
     /// Exists so decode paths compare kind bytes without an `as` cast.
     pub(crate) fn byte(self) -> u8 {
@@ -602,9 +607,8 @@ fn decode_frame(bytes: &[u8], expected: SketchKind) -> Result<&[u8], PersistErro
 /// by loaders that accept several kinds (e.g. [`ColdSnapshot::open`]).
 pub fn peek_kind(bytes: &[u8]) -> Result<SketchKind, PersistError> {
     let kind_byte = check_header(bytes)?;
-    SketchKind::from_byte(kind_byte).ok_or(PersistError::Corrupt(format!(
-        "unknown sketch kind byte {kind_byte}"
-    )))
+    SketchKind::from_byte(kind_byte)
+        .ok_or_else(|| PersistError::Corrupt(format!("unknown sketch kind byte {kind_byte}")))
 }
 
 // ----- kind payloads -----
@@ -1349,8 +1353,8 @@ pub fn load_weighted<P: AsRef<Path>>(path: P) -> Result<WeightedSpaceSaving, Per
     decode_weighted(&std::fs::read(path)?)
 }
 
-/// A sketch file loaded for cold serving: a [`SnapshotSource`] over yesterday's
-/// (or another node's) data, so a [`crate::query::QueryServer`] serves a
+/// A sketch file loaded for cold serving: yesterday's (or another node's) data
+/// as a [`SketchSnapshot`], so [`crate::query::answer_query`] serves a
 /// historical snapshot through exactly the same typed-query API as a live engine.
 ///
 /// Accepts any single-sketch kind — a cold [`SketchKind::Snapshot`], a full
@@ -1413,17 +1417,6 @@ impl ColdSnapshot {
     #[must_use]
     pub fn snapshot(&self) -> &SketchSnapshot {
         &self.snapshot
-    }
-}
-
-impl SnapshotSource for ColdSnapshot {
-    fn capture(&self) -> SketchSnapshot {
-        self.snapshot.clone()
-    }
-
-    /// A cold file never grows, so automatic refresh is (correctly) a no-op.
-    fn rows_hint(&self) -> u64 {
-        self.snapshot.rows_processed()
     }
 }
 
@@ -1641,14 +1634,14 @@ mod tests {
         let snap_path = dir.join("cold.uss");
         save_snapshot(&snap_path, &sketch.snapshot()).unwrap();
         let cold = ColdSnapshot::open(&snap_path).unwrap();
-        assert_eq!(cold.capture(), sketch.snapshot());
-        assert_eq!(cold.rows_hint(), 5_000);
+        assert_eq!(cold.snapshot(), &sketch.snapshot());
+        assert_eq!(cold.snapshot().rows_processed(), 5_000);
         assert_eq!(cold.path(), snap_path.as_path());
 
         let full_path = dir.join("full.uss");
         save_unbiased(&full_path, &sketch).unwrap();
         let cold = ColdSnapshot::open(&full_path).unwrap();
-        assert_eq!(cold.capture(), sketch.snapshot());
+        assert_eq!(cold.snapshot(), &sketch.snapshot());
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1671,7 +1664,7 @@ mod tests {
         let path = dir.join("decayed.uss");
         write_file(&path, &bytes).unwrap();
         let cold = ColdSnapshot::open(&path).unwrap();
-        assert_eq!(cold.capture(), sketch.snapshot_at(sketch.last_time()));
+        assert_eq!(cold.snapshot(), &sketch.snapshot_at(sketch.last_time()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1730,8 +1723,8 @@ mod tests {
         let expected = store
             .fold_range(0, u64::MAX, seed ^ FOLD_MERGE_SALT, seed ^ FOLD_OUT_SALT)
             .snapshot();
-        assert_eq!(cold.capture(), expected);
-        assert_eq!(cold.rows_hint(), 40);
+        assert_eq!(cold.snapshot(), &expected);
+        assert_eq!(cold.snapshot().rows_processed(), 40);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,16 +1,16 @@
-//! Concurrent query serving: an epoch-versioned snapshot cache over a live sketch.
+//! Typed queries over a captured sketch snapshot.
 //!
-//! The estimators in [`crate::estimator`] answer queries against a cold
-//! [`SketchSnapshot`]; the [`crate::engine`] ingests concurrently but, until this
-//! module, had no read path beyond folding a whole merged sketch per query. A
-//! [`QueryServer`] closes that gap: it wraps any [`SnapshotSource`] — a live
-//! [`ShardedIngestEngine`], a plain sketch, or an already-merged snapshot — and keeps
-//! one *epoch-versioned* [`SketchSnapshot`] cached behind an `Arc`/`RwLock`. Readers
-//! clone the `Arc` (one brief read-lock acquisition, no allocation, no contention
-//! with ingest) and then run arbitrarily many queries against an immutable, complete
-//! view; producers keep ingesting in parallel. The cache refreshes when asked
-//! ([`QueryServer::refresh`]) or automatically once the source reports
-//! [`QueryServerConfig::refresh_every_rows`] new rows.
+//! Every answer the paper defines is a pure function of one [`SketchSnapshot`]:
+//! capture a snapshot from whatever holds the stream — a plain sketch
+//! ([`crate::UnbiasedSpaceSaving::snapshot`]), a live engine
+//! ([`crate::ShardedIngestEngine::snapshot`]), a time range
+//! ([`crate::TemporalIngestEngine::range_capture`]) or a file
+//! ([`crate::ColdSnapshot::snapshot`]) — and evaluate [`Query`]s against it
+//! with [`answer_query`]. Snapshots are immutable, so readers on many threads
+//! share one `Arc<SketchSnapshot>` and their answers are mutually consistent
+//! (the entry total equals the snapshot's row count); a fresher view is a new
+//! capture. The wire-protocol daemon answers through the same routine, so a
+//! served answer is bit-identical to an in-process one on the same snapshot.
 //!
 //! ## The typed query API and the paper's estimator sections
 //!
@@ -27,20 +27,12 @@
 //! | [`Query::RankQuantile`] | the retained counter at rank quantile `q` — the count profile separating the "nearly exact" head from the PPS-sampled tail | §6 (N̂_min threshold) |
 //!
 //! Every numeric answer is a [`SubsetEstimate`] carrying the equation-5 variance and
-//! a [`ConfidenceInterval`]. The keyed group-by ([`QueryServer::marginals`], built on
-//! [`SketchSnapshot::marginals`]) serves the paper's Figure 6 workload — roll
-//! full-granularity sketch entries up to arbitrary marginals after the fact.
-//!
-//! ## Staleness and epochs
-//!
-//! Snapshots are immutable, so a reader's answers within one epoch are mutually
-//! consistent (mass conservation holds exactly: the entry total equals the snapshot's
-//! row count). Epochs increase strictly and monotonically; a response's
-//! [`QueryResponse::epoch`] names the complete snapshot that produced it. The cache
-//! trades freshness for read throughput — with `refresh_every_rows = r`, answers lag
-//! ingest by at most `r` rows plus whatever is buffered in producer-side handles.
+//! a [`ConfidenceInterval`]. The keyed group-by ([`SketchSnapshot::marginals`])
+//! serves the paper's Figure 6 workload — roll full-granularity sketch entries
+//! up to arbitrary marginals after the fact.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use uss_core::prelude::*;
 //!
 //! let engine = ShardedIngestEngine::new(EngineConfig::new(2, 256, 7));
@@ -50,212 +42,24 @@
 //! }
 //! handle.flush();
 //!
-//! // Serve queries from a cached snapshot that refreshes every 10k ingested rows.
-//! let server = QueryServer::new(&engine, QueryServerConfig::new().refresh_every_rows(10_000));
-//! let response = server.execute(&Query::SubsetSum { items: (0..100).collect() });
-//! if let QueryAnswer::Estimate { estimate, ci } = response.answer {
+//! // Capture once; any number of readers share the immutable snapshot.
+//! let snap = Arc::new(engine.snapshot().snapshot());
+//! let answer = answer_query(&snap, &Query::SubsetSum { items: (0..100).collect() }, 0.95);
+//! if let QueryAnswer::Estimate { estimate, ci } = answer {
 //!     assert!(estimate.sum > 0.0);
 //!     assert!(ci.upper >= ci.lower);
 //! }
-//! assert!(response.epoch >= 1);
+//! assert_eq!(snap.rows_processed(), 20_000);
 //! let merged = engine.finish();
 //! assert_eq!(merged.rows_processed(), 20_000);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
-
-use crate::engine::ShardedIngestEngine;
 use crate::estimator::{SketchSnapshot, SubsetEstimate};
-use crate::space_saving::{UnbiasedSpaceSaving, WeightedSpaceSaving};
 use crate::variance::ConfidenceInterval;
 
-/// Anything the [`QueryServer`] can capture consistent snapshots from.
-///
-/// `capture` may be expensive (for the engine it drains the shard queues and runs
-/// the unbiased PPS merge); `rows_hint` must be cheap, monotone non-decreasing, and
-/// is only used to decide *when* to refresh — never as an answer.
-pub trait SnapshotSource {
-    /// Captures a complete, consistent point-in-time snapshot.
-    fn capture(&self) -> SketchSnapshot;
-
-    /// A cheap monotone ingest-progress hint, in rows. Sources that cannot be
-    /// mutated while served (an owned sketch, a cold snapshot) return their fixed
-    /// row count, which makes automatic refresh a no-op — correctly so.
-    fn rows_hint(&self) -> u64;
-}
-
-impl SnapshotSource for ShardedIngestEngine {
-    /// Folds the live shards with the unbiased PPS merge (section 5.5), so the
-    /// snapshot stays unbiased for every after-the-fact subset-sum query.
-    fn capture(&self) -> SketchSnapshot {
-        self.snapshot().snapshot()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        self.rows_enqueued()
-    }
-}
-
-impl SnapshotSource for UnbiasedSpaceSaving {
-    fn capture(&self) -> SketchSnapshot {
-        self.snapshot()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        use crate::traits::StreamSketch;
-        self.rows_processed()
-    }
-}
-
-impl SnapshotSource for WeightedSpaceSaving {
-    fn capture(&self) -> SketchSnapshot {
-        self.snapshot()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        use crate::traits::StreamSketch;
-        self.rows_processed()
-    }
-}
-
-impl SnapshotSource for SketchSnapshot {
-    fn capture(&self) -> SketchSnapshot {
-        self.clone()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        self.rows_processed()
-    }
-}
-
-impl<T: SnapshotSource + ?Sized> SnapshotSource for &T {
-    fn capture(&self) -> SketchSnapshot {
-        (**self).capture()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        (**self).rows_hint()
-    }
-}
-
-impl<T: SnapshotSource + ?Sized> SnapshotSource for Arc<T> {
-    fn capture(&self) -> SketchSnapshot {
-        (**self).capture()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        (**self).rows_hint()
-    }
-}
-
-impl<T: SnapshotSource> SnapshotSource for parking_lot::RwLock<T> {
-    /// Serves a source that is still being *mutated* by producers — e.g. an
-    /// `Arc<RwLock<DecayedSpaceSaving>>` shared between an ingest thread (write
-    /// lock per batch) and a [`QueryServer`] (brief read lock per capture), the
-    /// smooth-decay alternative to the hard windows of [`crate::temporal`].
-    fn capture(&self) -> SketchSnapshot {
-        self.read().capture()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        self.read().rows_hint()
-    }
-}
-
-/// Configuration for a [`QueryServer`].
-#[derive(Debug, Clone, Copy)]
-pub struct QueryServerConfig {
-    /// Automatically refresh the cached snapshot once the source reports this many
-    /// rows beyond the last refresh. `0` (the default) disables automatic refresh:
-    /// the cache then only moves on explicit [`QueryServer::refresh`] calls.
-    pub refresh_every_rows: u64,
-    /// Confidence level used by [`Query`] answers, e.g. `0.95`.
-    pub confidence: f64,
-}
-
-impl Default for QueryServerConfig {
-    fn default() -> Self {
-        Self {
-            refresh_every_rows: 0,
-            confidence: 0.95,
-        }
-    }
-}
-
-impl QueryServerConfig {
-    /// The default configuration: manual refresh only, 95% confidence intervals.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the automatic-refresh threshold, in ingested rows (`0` = manual only).
-    #[must_use]
-    pub fn refresh_every_rows(mut self, rows: u64) -> Self {
-        self.refresh_every_rows = rows;
-        self
-    }
-
-    /// Sets the confidence level for interval answers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `confidence` is not strictly between 0 and 1.
-    #[must_use]
-    pub fn confidence(mut self, confidence: f64) -> Self {
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence must be in (0, 1)"
-        );
-        self.confidence = confidence;
-        self
-    }
-}
-
-/// A complete snapshot tagged with the epoch that produced it.
-///
-/// Dereferences to [`SketchSnapshot`], so every estimator query runs directly on a
-/// versioned snapshot.
-#[derive(Debug, Clone)]
-pub struct VersionedSnapshot {
-    epoch: u64,
-    as_of_rows: u64,
-    snapshot: SketchSnapshot,
-}
-
-impl VersionedSnapshot {
-    /// The strictly increasing epoch number (the first capture is epoch 1).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The source's [`SnapshotSource::rows_hint`] at capture time.
-    #[must_use]
-    pub fn as_of_rows(&self) -> u64 {
-        self.as_of_rows
-    }
-
-    /// The snapshot itself.
-    #[must_use]
-    pub fn snapshot(&self) -> &SketchSnapshot {
-        &self.snapshot
-    }
-}
-
-impl std::ops::Deref for VersionedSnapshot {
-    type Target = SketchSnapshot;
-
-    fn deref(&self) -> &SketchSnapshot {
-        &self.snapshot
-    }
-}
-
-/// A typed query against a [`QueryServer`]. See the [module docs](self) for the
-/// mapping from variants to the paper's estimator sections.
+/// A typed query against a [`SketchSnapshot`], answered by [`answer_query`].
+/// See the [module docs](self) for the mapping from variants to the paper's
+/// estimator sections.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// Unbiased estimate of the total count over the listed items (**sorted
@@ -299,7 +103,7 @@ pub enum QueryAnswer {
     Estimate {
         /// The point estimate with its equation-5 variance.
         estimate: SubsetEstimate,
-        /// Normal-approximation interval at the server's configured confidence.
+        /// Normal-approximation interval at the requested confidence.
         ci: ConfidenceInterval,
     },
     /// A ranked item list ([`Query::TopK`], [`Query::FrequentItems`]).
@@ -309,193 +113,11 @@ pub enum QueryAnswer {
     Rank(Option<(u64, f64)>),
 }
 
-/// A query answer tagged with the complete epoch that produced it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryResponse {
-    /// Epoch of the snapshot that answered.
-    pub epoch: u64,
-    /// Rows processed by that snapshot.
-    pub rows: u64,
-    /// The answer payload.
-    pub answer: QueryAnswer,
-}
-
-/// A concurrent query-serving layer over a live sketch. See the
-/// [module docs](self).
-///
-/// All methods take `&self`; the server is `Sync` whenever the source is, so any
-/// number of reader threads can share one server by reference while producer threads
-/// keep feeding the underlying source.
-#[derive(Debug)]
-pub struct QueryServer<S> {
-    source: S,
-    config: QueryServerConfig,
-    cached: RwLock<Arc<VersionedSnapshot>>,
-    /// `rows_hint` at the last (started) refresh; claimed by compare-exchange so
-    /// concurrent readers trigger one refresh, not a stampede.
-    refresh_claimed_at: AtomicU64,
-}
-
-impl<S: SnapshotSource> QueryServer<S> {
-    /// Captures the initial snapshot (epoch 1) and starts serving.
-    #[must_use]
-    pub fn new(source: S, config: QueryServerConfig) -> Self {
-        let as_of_rows = source.rows_hint();
-        let snapshot = source.capture();
-        Self {
-            cached: RwLock::new(Arc::new(VersionedSnapshot {
-                epoch: 1,
-                as_of_rows,
-                snapshot,
-            })),
-            refresh_claimed_at: AtomicU64::new(as_of_rows),
-            source,
-            config,
-        }
-    }
-
-    /// The server's configuration.
-    #[must_use]
-    pub fn config(&self) -> &QueryServerConfig {
-        &self.config
-    }
-
-    /// The wrapped source (e.g. to create [`crate::engine::IngestHandle`]s from a
-    /// served engine).
-    #[must_use]
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-
-    /// Tears the server down and returns the source (e.g. to
-    /// [`ShardedIngestEngine::finish`] it).
-    #[must_use]
-    pub fn into_source(self) -> S {
-        self.source
-    }
-
-    /// The current epoch (strictly increasing, starting at 1).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.cached.read().epoch
-    }
-
-    /// Forces a fresh capture from the source and returns the epoch serving it.
-    /// Readers are only blocked for the `Arc` swap, not for the capture itself.
-    ///
-    /// Concurrent refreshes are safe: if another refresh captured a *fresher* view
-    /// while this one was capturing, the staler capture is discarded (the cache
-    /// never moves backwards in ingest time) and the already-published epoch is
-    /// returned.
-    pub fn refresh(&self) -> u64 {
-        let as_of_rows = self.source.rows_hint();
-        self.refresh_claimed_at.fetch_max(as_of_rows, Ordering::Relaxed);
-        let snapshot = self.source.capture();
-        let mut cached = self.cached.write();
-        if as_of_rows < cached.as_of_rows {
-            return cached.epoch;
-        }
-        let epoch = cached.epoch + 1;
-        *cached = Arc::new(VersionedSnapshot {
-            epoch,
-            as_of_rows,
-            snapshot,
-        });
-        epoch
-    }
-
-    /// The current cached snapshot, after applying the automatic staleness policy.
-    /// The returned `Arc` stays valid (and immutable) for as long as the caller
-    /// holds it, no matter how many refreshes happen meanwhile.
-    #[must_use]
-    pub fn current(&self) -> Arc<VersionedSnapshot> {
-        self.maybe_refresh();
-        Arc::clone(&self.cached.read())
-    }
-
-    /// Refreshes if the source has advanced `refresh_every_rows` past the last
-    /// refresh. At most one of any number of concurrent readers performs the
-    /// capture; the rest proceed with the still-cached epoch.
-    fn maybe_refresh(&self) {
-        let every = self.config.refresh_every_rows;
-        if every == 0 {
-            return;
-        }
-        let hint = self.source.rows_hint();
-        let claimed = self.refresh_claimed_at.load(Ordering::Relaxed);
-        if hint.saturating_sub(claimed) < every {
-            return;
-        }
-        if self
-            .refresh_claimed_at
-            .compare_exchange(claimed, hint, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.refresh();
-        }
-    }
-
-    /// Executes a typed [`Query`] against the current epoch.
-    #[must_use]
-    pub fn execute(&self, query: &Query) -> QueryResponse {
-        let snap = self.current();
-        QueryResponse {
-            epoch: snap.epoch(),
-            rows: snap.rows_processed(),
-            answer: answer_query(snap.snapshot(), query, self.config.confidence),
-        }
-    }
-
-    /// Subset-sum estimate with confidence interval for a sorted item list.
-    #[must_use]
-    pub fn subset_estimate(&self, items: &[u64]) -> (SubsetEstimate, ConfidenceInterval) {
-        let snap = self.current();
-        let estimate = snap.subset_estimate_items(items);
-        let ci = estimate.confidence_interval(self.config.confidence);
-        (estimate, ci)
-    }
-
-    /// Subset-sum estimate with confidence interval for an arbitrary predicate —
-    /// the fully disaggregated form: the subset may be decided per query.
-    pub fn subset_estimate_where<F>(&self, predicate: F) -> (SubsetEstimate, ConfidenceInterval)
-    where
-        F: FnMut(u64) -> bool,
-    {
-        let snap = self.current();
-        let estimate = snap.subset_estimate(predicate);
-        let ci = estimate.confidence_interval(self.config.confidence);
-        (estimate, ci)
-    }
-
-    /// The `k` most frequent retained items, descending.
-    #[must_use]
-    pub fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        self.current().top_k(k)
-    }
-
-    /// Items whose estimated count exceeds `phi · rows`, descending.
-    #[must_use]
-    pub fn frequent_items(&self, phi: f64) -> Vec<(u64, f64)> {
-        self.current().frequent_items(phi)
-    }
-
-    /// Keyed group-by: one [`SubsetEstimate`] per distinct key produced by
-    /// `key_of`, in first-seen entry order — the marginal/roll-up query of the
-    /// paper's Figure 6. See [`SketchSnapshot::marginals`].
-    pub fn marginals<K, F>(&self, key_of: F) -> Vec<(K, SubsetEstimate)>
-    where
-        K: Eq + std::hash::Hash + Clone,
-        F: FnMut(u64) -> Option<K>,
-    {
-        self.current().marginals(key_of)
-    }
-}
-
 /// Evaluates one typed [`Query`] against a snapshot at the given confidence —
-/// the single evaluation routine behind [`QueryServer::execute`], exposed so
-/// other serving surfaces (the wire-protocol daemon) answer **bit-identically**
-/// to an in-process server by construction: same snapshot, same query, same
-/// confidence ⇒ same bytes in the answer.
+/// the single evaluation routine behind every read, so every serving surface
+/// (the wire-protocol daemon, an in-process reader) answers **bit-identically**
+/// by construction: same snapshot, same query, same confidence ⇒ same bytes in
+/// the answer.
 ///
 /// # Panics
 ///
@@ -549,235 +171,136 @@ fn scale_to_proportion(estimate: SubsetEstimate, rows: u64) -> SubsetEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::space_saving::UnbiasedSpaceSaving;
     use crate::traits::StreamSketch;
 
-    fn sketch_with(rows: &[u64]) -> UnbiasedSpaceSaving {
+    fn snapshot_of(rows: &[u64]) -> SketchSnapshot {
         let mut sketch = UnbiasedSpaceSaving::with_seed(64, 9);
         sketch.offer_batch(rows);
-        sketch
+        sketch.snapshot()
     }
 
     #[test]
     fn server_over_owned_sketch_answers_like_the_snapshot() {
+        // A snapshot of an owned sketch, shared as `Arc<SketchSnapshot>` the way
+        // concurrent readers hold it, answers exactly like a direct capture.
         let rows: Vec<u64> = (0..5_000u64).map(|i| i % 100).collect();
-        let sketch = sketch_with(&rows);
+        let mut sketch = UnbiasedSpaceSaving::with_seed(64, 9);
+        sketch.offer_batch(&rows);
         let direct = sketch.snapshot();
-        let server = QueryServer::new(sketch, QueryServerConfig::new());
+        let shared = std::sync::Arc::new(sketch.snapshot());
 
         let items: Vec<u64> = (0..30).collect();
-        let (est, ci) = server.subset_estimate(&items);
+        let QueryAnswer::Estimate { estimate, ci } = answer_query(
+            &shared,
+            &Query::SubsetSum {
+                items: items.clone(),
+            },
+            0.95,
+        ) else {
+            panic!("subset sum must answer with an estimate")
+        };
         let reference = direct.subset_estimate_items(&items);
-        assert_eq!(est.sum, reference.sum);
-        assert_eq!(est.variance, reference.variance);
-        assert!(ci.contains(est.sum));
-        assert_eq!(server.top_k(5), direct.top_k(5));
-        assert_eq!(server.frequent_items(0.005), direct.frequent_items(0.005));
+        assert_eq!(estimate.sum, reference.sum);
+        assert_eq!(estimate.variance, reference.variance);
+        assert!(ci.contains(estimate.sum));
+        assert_eq!(
+            answer_query(&shared, &Query::TopK { k: 5 }, 0.95),
+            QueryAnswer::Items(direct.top_k(5))
+        );
+        assert_eq!(
+            answer_query(&shared, &Query::FrequentItems { phi: 0.005 }, 0.95),
+            QueryAnswer::Items(direct.frequent_items(0.005))
+        );
     }
 
     #[test]
     fn execute_covers_every_query_variant() {
         let rows: Vec<u64> = (0..8_000u64).map(|i| i % 200).collect();
-        let server = QueryServer::new(sketch_with(&rows), QueryServerConfig::new());
+        let snap = snapshot_of(&rows);
         let items: Vec<u64> = (0..50).collect();
 
-        let r = server.execute(&Query::SubsetSum { items: items.clone() });
-        assert_eq!(r.epoch, 1);
-        assert_eq!(r.rows, 8_000);
-        let QueryAnswer::Estimate { estimate, ci } = &r.answer else {
+        let QueryAnswer::Estimate { estimate, ci } = answer_query(
+            &snap,
+            &Query::SubsetSum {
+                items: items.clone(),
+            },
+            0.95,
+        ) else {
             panic!("subset sum must answer with an estimate")
         };
+        // The typed answer is the snapshot's own estimate and interval.
+        let reference = snap.subset_estimate_items(&items);
+        assert_eq!(estimate.sum.to_bits(), reference.sum.to_bits());
+        assert_eq!(estimate.variance.to_bits(), reference.variance.to_bits());
+        assert_eq!(ci, reference.confidence_interval(0.95));
         assert!(estimate.sum > 0.0);
-        assert!(ci.upper >= ci.lower);
+        assert!(ci.contains(estimate.sum));
 
-        let r = server.execute(&Query::Proportion { items });
-        let QueryAnswer::Estimate { estimate, .. } = &r.answer else {
+        let QueryAnswer::Estimate { estimate, .. } =
+            answer_query(&snap, &Query::Proportion { items }, 0.95)
+        else {
             panic!("proportion must answer with an estimate")
         };
         assert!((0.0..=1.0).contains(&estimate.sum));
         assert!((estimate.sum - 0.25).abs() < 0.15);
 
-        let QueryAnswer::Items(top) = server.execute(&Query::TopK { k: 3 }).answer else {
+        let QueryAnswer::Items(top) = answer_query(&snap, &Query::TopK { k: 3 }, 0.95) else {
             panic!("top-k must answer with items")
         };
+        assert_eq!(top, snap.top_k(3));
         assert_eq!(top.len(), 3);
 
         let QueryAnswer::Items(heavy) =
-            server.execute(&Query::FrequentItems { phi: 0.004 }).answer
+            answer_query(&snap, &Query::FrequentItems { phi: 0.004 }, 0.95)
         else {
             panic!("frequent items must answer with items")
         };
+        assert_eq!(heavy, snap.frequent_items(0.004));
         assert!(heavy.len() <= 200);
 
-        let QueryAnswer::Rank(rank) = server.execute(&Query::RankQuantile { q: 0.0 }).answer
+        let QueryAnswer::Rank(rank) = answer_query(&snap, &Query::RankQuantile { q: 0.0 }, 0.95)
         else {
             panic!("rank quantile must answer with a rank")
         };
-        assert_eq!(rank, server.top_k(1).first().copied());
-    }
-
-    #[test]
-    fn refresh_bumps_the_epoch_and_old_snapshots_stay_valid() {
-        let rows: Vec<u64> = (0..1_000u64).collect();
-        let server = QueryServer::new(sketch_with(&rows), QueryServerConfig::new());
-        let before = server.current();
-        assert_eq!(before.epoch(), 1);
-        assert_eq!(server.refresh(), 2);
-        assert_eq!(server.refresh(), 3);
-        assert_eq!(server.epoch(), 3);
-        // The pre-refresh Arc is untouched.
-        assert_eq!(before.epoch(), 1);
-        assert_eq!(before.rows_processed(), 1_000);
-    }
-
-    #[test]
-    fn auto_refresh_follows_engine_ingest_progress() {
-        let engine = ShardedIngestEngine::new(
-            EngineConfig::new(2, 64, 3).with_batch_rows(64),
-        );
-        let server = QueryServer::new(
-            &engine,
-            QueryServerConfig::new().refresh_every_rows(1_000),
-        );
-        assert_eq!(server.current().epoch(), 1);
-        assert_eq!(server.current().rows_processed(), 0);
-
-        let mut handle = engine.handle();
-        for i in 0..5_000u64 {
-            handle.offer(i % 40);
-        }
-        handle.flush();
-        // The hint has advanced well past the threshold: the next read refreshes.
-        let snap = server.current();
-        assert!(snap.epoch() >= 2, "epoch {}", snap.epoch());
-        assert_eq!(snap.rows_processed(), 5_000);
-        // No further ingest => no further refresh.
-        let epoch = server.epoch();
-        let _ = server.current();
-        assert_eq!(server.epoch(), epoch);
-
-        drop(server);
-        let merged = engine.finish();
-        assert_eq!(merged.rows_processed(), 5_000);
-    }
-
-    #[test]
-    fn stale_concurrent_refresh_cannot_publish_over_a_fresher_snapshot() {
-        // Deterministically replay the losing side of a refresh race: a capture
-        // whose rows_hint was read *before* a fresher refresh published must be
-        // discarded — the cache never moves backwards in ingest time — while a
-        // same-hint refresh (e.g. explicit refresh with no new rows) still
-        // publishes.
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        struct ScriptedSource(AtomicU64);
-        impl SnapshotSource for ScriptedSource {
-            fn capture(&self) -> SketchSnapshot {
-                let rows = self.0.load(Ordering::Relaxed);
-                SketchSnapshot::new(vec![(1, rows as f64)], 0.0, rows, 4)
-            }
-            fn rows_hint(&self) -> u64 {
-                self.0.load(Ordering::Relaxed)
-            }
-        }
-
-        let source = Arc::new(ScriptedSource(AtomicU64::new(0)));
-        let server = QueryServer::new(Arc::clone(&source), QueryServerConfig::new());
-
-        source.0.store(100, Ordering::Relaxed);
-        assert_eq!(server.refresh(), 2);
-        assert_eq!(server.current().rows_processed(), 100);
-
-        // A racer that read its hint at 50 (before the 100-row refresh landed)
-        // tries to publish: it must be discarded, epoch and contents unchanged.
-        source.0.store(50, Ordering::Relaxed);
-        assert_eq!(server.refresh(), 2);
-        assert_eq!(server.current().rows_processed(), 100);
-        assert_eq!(server.epoch(), 2);
-
-        // Same-hint refreshes still publish (owned sketches rely on this).
-        source.0.store(100, Ordering::Relaxed);
-        assert_eq!(server.refresh(), 3);
-
-        // Fresher hints publish as usual.
-        source.0.store(150, Ordering::Relaxed);
-        assert_eq!(server.refresh(), 4);
-        assert_eq!(server.current().rows_processed(), 150);
-    }
-
-    #[test]
-    fn manual_only_server_never_auto_refreshes() {
-        let engine = ShardedIngestEngine::new(EngineConfig::new(2, 64, 4));
-        let server = QueryServer::new(&engine, QueryServerConfig::new());
-        let mut handle = engine.handle();
-        for i in 0..10_000u64 {
-            handle.offer(i % 10);
-        }
-        handle.flush();
-        assert_eq!(server.current().epoch(), 1);
-        assert_eq!(server.current().rows_processed(), 0);
-        assert_eq!(server.refresh(), 2);
-        assert_eq!(server.current().rows_processed(), 10_000);
-        drop(server);
-        let _ = engine.finish();
+        assert_eq!(rank, snap.top_k(1).first().copied());
     }
 
     #[test]
     fn proportion_scaling_handles_zero_rows() {
-        let scaled = scale_to_proportion(
-            SubsetEstimate {
-                sum: 5.0,
-                variance: 4.0,
-                items_in_sketch: 2,
-            },
-            0,
-        );
+        let estimate = SubsetEstimate {
+            sum: 5.0,
+            variance: 4.0,
+            items_in_sketch: 2,
+        };
+        let scaled = scale_to_proportion(estimate, 0);
         assert_eq!(scaled.sum, 0.0);
         assert_eq!(scaled.variance, 0.0);
-        let scaled = scale_to_proportion(
-            SubsetEstimate {
-                sum: 5.0,
-                variance: 4.0,
-                items_in_sketch: 2,
-            },
-            10,
-        );
+        let scaled = scale_to_proportion(estimate, 10);
         assert_eq!(scaled.sum, 0.5);
         assert!((scaled.variance - 0.04).abs() < 1e-15);
     }
 
     #[test]
-    fn marginals_through_the_server_match_the_snapshot() {
-        let rows: Vec<u64> = (0..4_000u64).map(|i| i % 64).collect();
-        let sketch = sketch_with(&rows);
-        let direct = sketch.snapshot().marginals(|item| Some(item % 8));
-        let server = QueryServer::new(sketch, QueryServerConfig::new());
-        let served = server.marginals(|item| Some(item % 8));
-        assert_eq!(direct.len(), served.len());
-        for ((k1, e1), (k2, e2)) in direct.iter().zip(&served) {
-            assert_eq!(k1, k2);
-            assert_eq!(e1.sum, e2.sum);
-            assert_eq!(e1.variance, e2.variance);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "confidence")]
     fn invalid_confidence_panics() {
-        let _ = QueryServerConfig::new().confidence(1.0);
+        // The documented domain contract: estimate queries need a confidence
+        // in (0, 1); the wire layer validates before it gets here.
+        let snap = snapshot_of(&[1, 2, 3]);
+        let _ = answer_query(&snap, &Query::SubsetSum { items: vec![1] }, 1.0);
     }
 
     #[test]
     fn malformed_rank_quantile_cannot_panic_the_read_path() {
-        // Regression: a NaN or out-of-range q reaching the server used to assert!
+        // Regression: a NaN or out-of-range q reaching a reader used to assert!
         // inside SketchSnapshot::rank_quantile and take the reader down.
         let rows: Vec<u64> = (0..1_000u64).map(|i| i % 25).collect();
-        let server = QueryServer::new(sketch_with(&rows), QueryServerConfig::new());
+        let snap = snapshot_of(&rows);
         for q in [f64::NAN, -0.5, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
-            let response = server.execute(&Query::RankQuantile { q });
-            assert_eq!(response.answer, QueryAnswer::Rank(None), "q = {q}");
+            let answer = answer_query(&snap, &Query::RankQuantile { q }, 0.95);
+            assert_eq!(answer, QueryAnswer::Rank(None), "q = {q}");
         }
-        let QueryAnswer::Rank(Some(_)) = server.execute(&Query::RankQuantile { q: 0.5 }).answer
+        let QueryAnswer::Rank(Some(_)) = answer_query(&snap, &Query::RankQuantile { q: 0.5 }, 0.95)
         else {
             panic!("valid quantiles must still answer");
         };
@@ -785,22 +308,20 @@ mod tests {
 
     #[test]
     fn empty_snapshot_answers_every_variant_with_finite_zeros() {
-        // A server over a 0-row source must answer all five query variants with
-        // finite values — zero estimates, zero variance, degenerate [0, 0]
-        // intervals — never NaN and never a panic.
-        let server = QueryServer::new(
-            UnbiasedSpaceSaving::with_seed(16, 1),
-            QueryServerConfig::new(),
-        );
+        // A 0-row snapshot must answer all five query variants with finite
+        // values — zero estimates, zero variance, degenerate [0, 0] intervals —
+        // never NaN and never a panic.
+        let snap = UnbiasedSpaceSaving::with_seed(16, 1).snapshot();
+        assert_eq!(snap.rows_processed(), 0);
         let items: Vec<u64> = vec![1, 2, 3];
 
         for query in [
-            Query::SubsetSum { items: items.clone() },
+            Query::SubsetSum {
+                items: items.clone(),
+            },
             Query::Proportion { items },
         ] {
-            let response = server.execute(&query);
-            assert_eq!(response.rows, 0);
-            let QueryAnswer::Estimate { estimate, ci } = response.answer else {
+            let QueryAnswer::Estimate { estimate, ci } = answer_query(&snap, &query, 0.95) else {
                 panic!("{query:?} must answer with an estimate")
             };
             assert_eq!(estimate.sum, 0.0, "{query:?}");
@@ -811,15 +332,15 @@ mod tests {
         }
 
         assert_eq!(
-            server.execute(&Query::TopK { k: 5 }).answer,
+            answer_query(&snap, &Query::TopK { k: 5 }, 0.95),
             QueryAnswer::Items(vec![])
         );
         assert_eq!(
-            server.execute(&Query::FrequentItems { phi: 0.01 }).answer,
+            answer_query(&snap, &Query::FrequentItems { phi: 0.01 }, 0.95),
             QueryAnswer::Items(vec![])
         );
         assert_eq!(
-            server.execute(&Query::RankQuantile { q: 0.5 }).answer,
+            answer_query(&snap, &Query::RankQuantile { q: 0.5 }, 0.95),
             QueryAnswer::Rank(None)
         );
     }

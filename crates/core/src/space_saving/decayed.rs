@@ -13,7 +13,6 @@
 //! no ordering and no estimate.
 
 use crate::estimator::SketchSnapshot;
-use crate::query::SnapshotSource;
 use crate::space_saving::WeightedSpaceSaving;
 use crate::traits::{StreamSketch, WeightedStreamSketch};
 
@@ -206,7 +205,11 @@ impl DecayedSpaceSaving {
     /// counter, and the row count is the raw number of rows offered. All the
     /// estimator queries (subset sums with equation-5 variance, top-k,
     /// marginals) then run on decayed counts — the smooth-decay counterpart of
-    /// a [`crate::temporal`] window snapshot.
+    /// a [`crate::temporal`] window snapshot. `snapshot_at(self.last_time())`
+    /// is the state as of the latest arrival, and
+    /// [`crate::query::answer_query`] answers the typed queries on it; to keep
+    /// ingesting while reading, share the sketch behind a `parking_lot::RwLock`
+    /// and capture under a brief read lock.
     ///
     /// Note that decayed subset *sums* are in decayed-count units, while
     /// proportion-style queries that divide by the raw row count mix units;
@@ -253,22 +256,6 @@ impl DecayedSpaceSaving {
             landmark,
             last_time,
         })
-    }
-}
-
-impl SnapshotSource for DecayedSpaceSaving {
-    /// Captures the decayed state as of the latest arrival time
-    /// ([`snapshot_at`](Self::snapshot_at) at [`last_time`](Self::last_time)),
-    /// so a [`crate::query::QueryServer`] can serve the smooth-decay
-    /// alternative to a hard [`crate::temporal`] window. Wrap the sketch in a
-    /// `parking_lot::RwLock` (the query layer serves any `RwLock<S>`) to keep
-    /// ingesting while serving.
-    fn capture(&self) -> SketchSnapshot {
-        self.snapshot_at(self.last_time)
-    }
-
-    fn rows_hint(&self) -> u64 {
-        self.inner.rows_processed()
     }
 }
 

@@ -38,11 +38,12 @@
 //!   unbiased PPS merge, using the engine's salted snapshot-seed sequence, so a
 //!   range answer is exactly the kind of merged sketch a
 //!   [`crate::engine::ShardedIngestEngine::snapshot`] produces (equation-5
-//!   variance and all). [`TemporalIngestEngine::range_source`] wraps a range as
-//!   a [`SnapshotSource`], so the unchanged [`crate::query::QueryServer`] serves
-//!   all five [`crate::query::Query`] variants plus `marginals` over any range;
-//!   a small merged-range cache makes repeated queries at the same ingest
-//!   watermark cheap *and* mutually consistent. When every row lands in one
+//!   variance and all). [`TemporalIngestEngine::range_capture`] returns a
+//!   range's snapshot behind an `Arc`, so [`crate::query::answer_query`]
+//!   answers all five [`crate::query::Query`] variants (and
+//!   [`SketchSnapshot::marginals`] the group-by) over any range; a small
+//!   merged-range cache makes repeated captures at the same ingest watermark
+//!   cheap *and* mutually consistent. When every row lands in one
 //!   bucket, a whole-stream range answer is **bit-identical** to the
 //!   non-temporal engine's snapshot under the same seeds.
 //!
@@ -122,12 +123,11 @@
 //! }
 //! handle.flush();
 //!
-//! // Serve a sliding window through the unchanged QueryServer.
-//! let server = QueryServer::new(
-//!     engine.range_source(TimeRange::LastBuckets(3)),
-//!     QueryServerConfig::new(),
-//! );
-//! let top = server.top_k(5);
+//! // Answer typed queries over a sliding window.
+//! let window = engine.range_capture(&TimeRange::LastBuckets(3));
+//! let QueryAnswer::Items(top) = answer_query(&window, &Query::TopK { k: 5 }, 0.95) else {
+//!     unreachable!("top-k answers with items")
+//! };
 //! assert_eq!(top.len(), 5);
 //!
 //! // A whole-history range still answers (coarser with age).
@@ -153,7 +153,6 @@ use crate::merge::{
 };
 use crate::metrics::{EngineMetrics, TemporalMetrics};
 use crate::persist::{self, PersistError};
-use crate::query::SnapshotSource;
 use crate::reduction::pps_reduce;
 use crate::shard::{self, ShardHandle, ShardRuntime, ShardState, ShardWorker};
 use crate::space_saving::{UnbiasedSpaceSaving, WeightedSpaceSaving};
@@ -1988,17 +1987,6 @@ impl TemporalIngestEngine {
         Ok(snapshot)
     }
 
-    /// Wraps a time range as a [`SnapshotSource`], so the unchanged
-    /// [`crate::query::QueryServer`] serves every typed query (and `marginals`)
-    /// over the range. Captures go through the merged-range cache.
-    #[must_use]
-    pub fn range_source(&self, range: TimeRange) -> TemporalRangeSource<'_> {
-        TemporalRangeSource {
-            engine: self,
-            range,
-        }
-    }
-
     /// Writes a durable checkpoint of the whole engine into `dir`: one
     /// bucket-ring file per shard (fine buckets with full RNG + structure
     /// images, compacted tiers, the terminal bucket, and the dyadic-ladder
@@ -2111,45 +2099,6 @@ impl TemporalIngestEngine {
             .into_iter()
             .map(|shard| shard.store)
             .collect()
-    }
-}
-
-impl SnapshotSource for TemporalIngestEngine {
-    /// Captures the whole history ([`TimeRange::All`]) through the range cache.
-    fn capture(&self) -> SketchSnapshot {
-        (*self.range_capture(&TimeRange::All)).clone()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        self.rows_enqueued()
-    }
-}
-
-/// A [`SnapshotSource`] view of one [`TimeRange`] of a
-/// [`TemporalIngestEngine`], served through the merged-range cache. Put a
-/// [`crate::query::QueryServer`] in front to answer typed queries over the
-/// range.
-#[derive(Debug, Clone, Copy)]
-pub struct TemporalRangeSource<'a> {
-    engine: &'a TemporalIngestEngine,
-    range: TimeRange,
-}
-
-impl TemporalRangeSource<'_> {
-    /// The range this source serves.
-    #[must_use]
-    pub fn range(&self) -> TimeRange {
-        self.range
-    }
-}
-
-impl SnapshotSource for TemporalRangeSource<'_> {
-    fn capture(&self) -> SketchSnapshot {
-        (*self.engine.range_capture(&self.range)).clone()
-    }
-
-    fn rows_hint(&self) -> u64 {
-        self.engine.rows_enqueued()
     }
 }
 

@@ -45,8 +45,7 @@ fn cold_file_serving_is_bit_identical_to_in_memory_serving() {
     persist::save_snapshot(&path, &live).unwrap();
     let cold = ColdSnapshot::open(&path).unwrap();
 
-    let hot_server = QueryServer::new(&live, QueryServerConfig::new());
-    let cold_server = QueryServer::new(cold, QueryServerConfig::new());
+    assert_eq!(live.rows_processed(), cold.snapshot().rows_processed());
 
     let items: Vec<u64> = (0..8).chain(100..200).collect();
     let queries = [
@@ -57,12 +56,13 @@ fn cold_file_serving_is_bit_identical_to_in_memory_serving() {
         Query::RankQuantile { q: 0.25 },
     ];
     for query in &queries {
-        let hot = hot_server.execute(query);
-        let cold = cold_server.execute(query);
         // Bit-identical answers: the codec writes exact f64 bits and preserves
         // entry order, so every estimate, variance and CI endpoint matches.
-        assert_eq!(hot.answer, cold.answer, "{query:?}");
-        assert_eq!(hot.rows, cold.rows);
+        assert_eq!(
+            answer_query(&live, query, 0.95),
+            answer_query(cold.snapshot(), query, 0.95),
+            "{query:?}"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -128,19 +128,20 @@ fn restored_engine_serves_queries_and_keeps_ingesting() {
     drop(engine.finish());
 
     let engine = ShardedIngestEngine::restore(&dir, config).unwrap();
-    let server = QueryServer::new(&engine, QueryServerConfig::new().refresh_every_rows(1_000));
-    assert_eq!(server.current().rows_processed(), 10_000);
+    assert_eq!(engine.snapshot().rows_processed(), 10_000);
 
     let mut handle = engine.handle();
     handle.offer_batch(&skewed_rows(5_000, 10));
     handle.flush();
-    let snap = server.current();
-    assert!(snap.epoch() >= 2, "auto refresh after restored ingest");
+    let snap = engine.snapshot().snapshot();
     assert_eq!(snap.rows_processed(), 15_000);
     let mass: f64 = snap.entries().iter().map(|(_, c)| c).sum();
     assert!((mass - 15_000.0).abs() < 1e-6, "mass conservation: {mass}");
+    let QueryAnswer::Items(top) = answer_query(&snap, &Query::TopK { k: 3 }, 0.95) else {
+        panic!("top-k must answer with items")
+    };
+    assert_eq!(top.len(), 3);
 
-    drop(server);
     drop(engine.finish());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -175,9 +176,8 @@ fn shard_shipping_merge_files_equals_live_reduce() {
     assert_eq!(folded.entries(), live.entries());
     assert_eq!(folded.rows_processed(), 3 * 20_000);
 
-    // The folded file-set serves through the standard query layer.
-    let server = QueryServer::new(folded, QueryServerConfig::new());
-    let (est, ci) = server.subset_estimate_where(|i| i < 8);
+    // The folded file-set answers through the standard estimators.
+    let (est, ci) = folded.snapshot().subset_confidence_interval(|i| i < 8, 0.95);
     assert!(est.sum > 0.0);
     assert!(ci.contains(est.sum));
     std::fs::remove_dir_all(&dir).unwrap();

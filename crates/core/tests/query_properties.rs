@@ -1,16 +1,14 @@
-//! Property tests for the concurrent query-serving layer.
+//! Property tests for the typed query API.
 //!
-//! Three families of invariants:
+//! * **Answer consistency** — every typed query answered by [`answer_query`]
+//!   equals the same query asked of the [`SketchSnapshot`] methods directly:
+//!   the typed form adds a confidence interval, never different numbers.
+//! * **Marginals** partition the retained mass.
+//! * **Rank quantiles** are monotone and pinned to the top item.
 //!
-//! * **Epoch discipline** — epochs start at 1 and increase by exactly one per
-//!   refresh, no matter how reads and refreshes interleave; old snapshot handles
-//!   stay immutable.
-//! * **Answer consistency** — every typed query answered through a [`QueryServer`]
-//!   equals the same query against a directly captured [`SketchSnapshot`]: the
-//!   serving layer adds caching and versioning, never different numbers.
-//! * **Concurrent soundness** — readers racing producers and refreshers only ever
-//!   observe *complete* epochs: per-snapshot mass conservation holds exactly and
-//!   epochs are monotone per reader.
+//! * **Concurrent soundness** — readers racing producers only ever capture
+//!   complete snapshots: per-capture mass conservation holds exactly and row
+//!   counts are monotone per reader.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -31,32 +29,8 @@ fn sketch_of(stream: &[u64], capacity: usize, seed: u64) -> UnbiasedSpaceSaving 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Epochs start at 1 and advance by exactly one per refresh, regardless of how
-    /// reads interleave; a snapshot handle taken earlier is never mutated.
-    #[test]
-    fn epochs_are_strictly_monotone_across_refreshes(
-        stream in stream_strategy(400),
-        capacity in 1usize..32,
-        seed in any::<u64>(),
-        refreshes in 1usize..8,
-    ) {
-        let server = QueryServer::new(sketch_of(&stream, capacity, seed), QueryServerConfig::new());
-        let first = server.current();
-        prop_assert_eq!(first.epoch(), 1);
-        let mut last = server.epoch();
-        for _ in 0..refreshes {
-            let epoch = server.refresh();
-            prop_assert_eq!(epoch, last + 1);
-            prop_assert_eq!(server.current().epoch(), epoch);
-            last = epoch;
-        }
-        // The old handle still shows epoch 1 and the original contents.
-        prop_assert_eq!(first.epoch(), 1);
-        prop_assert_eq!(first.rows_processed(), stream.len() as u64);
-    }
-
-    /// Served `TopK` / `FrequentItems` / subset estimates are identical to direct
-    /// `SketchSnapshot` queries.
+    /// Typed `TopK` / `FrequentItems` / `SubsetSum` / `Proportion` /
+    /// `RankQuantile` answers are identical to direct `SketchSnapshot` queries.
     #[test]
     fn served_answers_match_direct_snapshot_queries(
         stream in stream_strategy(500),
@@ -65,37 +39,40 @@ proptest! {
         k in 0usize..12,
         phi_mil in 1u64..500,
     ) {
-        let sketch = sketch_of(&stream, capacity, seed);
-        let direct = sketch.snapshot();
-        let server = QueryServer::new(sketch, QueryServerConfig::new());
+        let direct = sketch_of(&stream, capacity, seed).snapshot();
+        let answer = |query: Query| answer_query(&direct, &query, 0.95);
 
-        prop_assert_eq!(server.top_k(k), direct.top_k(k));
+        prop_assert_eq!(answer(Query::TopK { k }), QueryAnswer::Items(direct.top_k(k)));
         let phi = phi_mil as f64 / 1000.0;
-        prop_assert_eq!(server.frequent_items(phi), direct.frequent_items(phi));
+        prop_assert_eq!(
+            answer(Query::FrequentItems { phi }),
+            QueryAnswer::Items(direct.frequent_items(phi))
+        );
 
         let items: Vec<u64> = (0..200u64).filter(|i| i % 3 == 0).collect();
-        let (est, _) = server.subset_estimate(&items);
         let reference = direct.subset_estimate_items(&items);
-        prop_assert_eq!(est.sum, reference.sum);
-        prop_assert_eq!(est.variance, reference.variance);
-        prop_assert_eq!(est.items_in_sketch, reference.items_in_sketch);
-
-        // The typed forms agree with the convenience forms.
-        match server.execute(&Query::TopK { k }).answer {
-            QueryAnswer::Items(top) => prop_assert_eq!(top, direct.top_k(k)),
-            other => prop_assert!(false, "unexpected answer {:?}", other),
-        }
-        match server.execute(&Query::SubsetSum { items }).answer {
+        match answer(Query::SubsetSum { items: items.clone() }) {
             QueryAnswer::Estimate { estimate, ci } => {
                 prop_assert_eq!(estimate.sum, reference.sum);
+                prop_assert_eq!(estimate.variance, reference.variance);
+                prop_assert_eq!(estimate.items_in_sketch, reference.items_in_sketch);
+                prop_assert_eq!(ci, reference.confidence_interval(0.95));
                 prop_assert!(ci.contains(estimate.sum));
             }
             other => prop_assert!(false, "unexpected answer {:?}", other),
         }
-        match server.execute(&Query::RankQuantile { q: 0.0 }).answer {
-            QueryAnswer::Rank(rank) => prop_assert_eq!(rank, direct.rank_quantile(0.0)),
+        match answer(Query::Proportion { items }) {
+            QueryAnswer::Estimate { estimate, .. } => {
+                let share = reference.sum / direct.rows_processed() as f64;
+                prop_assert!((estimate.sum - share).abs() <= 1e-12 * share.max(1.0));
+                prop_assert_eq!(estimate.items_in_sketch, reference.items_in_sketch);
+            }
             other => prop_assert!(false, "unexpected answer {:?}", other),
         }
+        prop_assert_eq!(
+            answer(Query::RankQuantile { q: 0.0 }),
+            QueryAnswer::Rank(direct.rank_quantile(0.0))
+        );
     }
 
     /// Marginal groups partition the retained mass: group sums add up to the
@@ -107,10 +84,8 @@ proptest! {
         seed in any::<u64>(),
         modulus in 1u64..16,
     ) {
-        let sketch = sketch_of(&stream, capacity, seed);
-        let direct = sketch.snapshot();
-        let server = QueryServer::new(sketch, QueryServerConfig::new());
-        let groups = server.marginals(|item| Some(item % modulus));
+        let direct = sketch_of(&stream, capacity, seed).snapshot();
+        let groups = direct.marginals(|item| Some(item % modulus));
 
         let group_total: f64 = groups.iter().map(|(_, est)| est.sum).sum();
         prop_assert!((group_total - direct.total()).abs() < 1e-9 * direct.total().max(1.0));
@@ -140,16 +115,16 @@ proptest! {
         capacity in 1usize..32,
         seed in any::<u64>(),
     ) {
-        let sketch = sketch_of(&stream, capacity, seed);
-        let server = QueryServer::new(sketch, QueryServerConfig::new());
-        let top = server.top_k(1);
+        let snap = sketch_of(&stream, capacity, seed).snapshot();
+        let top = snap.top_k(1);
         let mut last = f64::INFINITY;
         for step in 0..=10 {
             let q = step as f64 / 10.0;
-            let (item, count) = server
-                .execute(&Query::RankQuantile { q })
-                .answer_rank()
-                .expect("non-empty sketch");
+            let QueryAnswer::Rank(Some((item, count))) =
+                answer_query(&snap, &Query::RankQuantile { q }, 0.95)
+            else {
+                panic!("a non-empty sketch answers every quantile in [0, 1]")
+            };
             if step == 0 {
                 prop_assert_eq!((item, count), top[0]);
             }
@@ -159,33 +134,12 @@ proptest! {
     }
 }
 
-/// Small helper so property tests can unwrap rank answers tersely.
-trait RankAnswer {
-    fn answer_rank(self) -> Option<(u64, f64)>;
-}
-
-impl RankAnswer for QueryResponse {
-    fn answer_rank(self) -> Option<(u64, f64)> {
-        match self.answer {
-            QueryAnswer::Rank(rank) => rank,
-            _ => None,
-        }
-    }
-}
-
-/// Concurrent-reader soundness: 4 readers hammer a server (auto-refresh every 2 000
-/// rows) while 2 producers feed the engine. Every observed snapshot must be complete
-/// — mass conservation exact, epochs monotone per reader — and the final fold must
-/// account for every row.
+/// Readers capturing engine snapshots while producers ingest only ever see
+/// complete captures: mass equals rows exactly, rows never go backwards for one
+/// reader and never exceed what was offered.
 #[test]
 fn concurrent_readers_only_see_complete_epochs() {
-    let engine = ShardedIngestEngine::new(
-        EngineConfig::new(2, 128, 77).with_batch_rows(256),
-    );
-    let server = QueryServer::new(
-        &engine,
-        QueryServerConfig::new().refresh_every_rows(2_000),
-    );
+    let engine = ShardedIngestEngine::new(EngineConfig::new(2, 128, 77).with_batch_rows(256));
     let total_rows = 60_000u64;
 
     std::thread::scope(|scope| {
@@ -198,16 +152,16 @@ fn concurrent_readers_only_see_complete_epochs() {
             });
         }
         for reader in 0..4 {
-            let server = &server;
+            let engine = &engine;
             scope.spawn(move || {
-                let mut last_epoch = 0u64;
+                let mut last_rows = 0u64;
                 for _ in 0..100 {
-                    let snap = server.current();
+                    let snap = std::sync::Arc::new(engine.snapshot().snapshot());
                     assert!(
-                        snap.epoch() >= last_epoch,
-                        "reader {reader}: epoch went backwards"
+                        snap.rows_processed() >= last_rows,
+                        "reader {reader}: rows went backwards"
                     );
-                    last_epoch = snap.epoch();
+                    last_rows = snap.rows_processed();
                     let mass: f64 = snap.entries().iter().map(|(_, c)| c).sum();
                     assert!(
                         (mass - snap.rows_processed() as f64).abs()
@@ -221,7 +175,6 @@ fn concurrent_readers_only_see_complete_epochs() {
         }
     });
 
-    drop(server);
     let merged = engine.finish();
     assert_eq!(merged.rows_processed(), total_rows);
 }

@@ -3,13 +3,13 @@
 //! equivalence, out-of-order / late-timestamp handling, bit-identity of a
 //! whole-stream temporal range with the non-temporal engine, and exact
 //! checkpoint→restore→continue of the bucket ring — plus the decayed sketch
-//! serving through the unchanged query layer.
+//! answering through the same typed queries.
 
 use std::sync::Arc;
 
 use uss_core::engine::{shard_of, EngineConfig, ShardedIngestEngine};
 use uss_core::persist::{self, PersistError};
-use uss_core::query::{Query, QueryAnswer, QueryServer, QueryServerConfig, SnapshotSource};
+use uss_core::query::{answer_query, Query, QueryAnswer};
 use uss_core::temporal::{
     compact_fold, BucketReport, TemporalConfig, TemporalIngestEngine, TimeRange, WindowConfig,
     WindowedSketchStore,
@@ -251,14 +251,12 @@ fn whole_stream_range_is_bit_identical_to_the_non_temporal_engine() {
     assert_eq!(p.rows_processed(), t.rows_processed());
     assert_eq!(p.entries(), t.entries());
 
-    // Served comparison: each server's construction capture consumes salt 1 on
-    // its own engine, so the epochs line up too. All five variants and the
-    // marginal group-by must agree bit for bit.
-    let ps = QueryServer::new(&plain, QueryServerConfig::new());
-    let ts = QueryServer::new(
-        temporal.range_source(TimeRange::All),
-        QueryServerConfig::new(),
-    );
+    // Captured comparison: one capture per engine consumes salt 1 on each, so
+    // the second captures line up too. All five variants and the marginal
+    // group-by must agree bit for bit.
+    let ps = plain.snapshot().snapshot();
+    let ts = temporal.range_capture(&TimeRange::All);
+    assert_eq!(ps.rows_processed(), ts.rows_processed());
     let items: Vec<u64> = (0..40).collect();
     for query in [
         Query::SubsetSum { items: items.clone() },
@@ -267,10 +265,9 @@ fn whole_stream_range_is_bit_identical_to_the_non_temporal_engine() {
         Query::FrequentItems { phi: 0.001 },
         Query::RankQuantile { q: 0.5 },
     ] {
-        let a = ps.execute(&query);
-        let b = ts.execute(&query);
-        assert_eq!(a.rows, b.rows, "{query:?}");
-        assert_eq!(a.answer, b.answer, "{query:?}");
+        let a = answer_query(&ps, &query, 0.95);
+        let b = answer_query(&ts, &query, 0.95);
+        assert_eq!(a, b, "{query:?}");
     }
     let ma = ps.marginals(|item| Some(item % 8));
     let mb = ts.marginals(|item| Some(item % 8));
@@ -280,7 +277,6 @@ fn whole_stream_range_is_bit_identical_to_the_non_temporal_engine() {
         assert_eq!(e1.sum.to_bits(), e2.sum.to_bits());
         assert_eq!(e1.variance.to_bits(), e2.variance.to_bits());
     }
-    drop(ts);
     let _ = temporal.finish();
     let _ = plain.finish();
 }
@@ -297,44 +293,42 @@ fn sliding_window_server_answers_every_variant_with_correct_rows() {
         }
     }
     handle.flush();
-    let server = QueryServer::new(
-        engine.range_source(TimeRange::LastBuckets(3)),
-        QueryServerConfig::new(),
-    );
+    let window = engine.range_capture(&TimeRange::LastBuckets(3));
     // Buckets 9, 10, 11 (30 ticks × 50 rows).
     let expected_rows: u64 = 3 * 10 * 50;
+    assert_eq!(window.rows_processed(), expected_rows);
     let items: Vec<u64> = (0..10).collect();
-    let r = server.execute(&Query::SubsetSum { items: items.clone() });
-    assert_eq!(r.rows, expected_rows);
-    let QueryAnswer::Estimate { estimate, ci } = r.answer else {
+    let QueryAnswer::Estimate { estimate, ci } =
+        answer_query(&window, &Query::SubsetSum { items: items.clone() }, 0.95)
+    else {
         panic!("subset sum must answer with an estimate")
     };
     assert!(estimate.sum > 0.0 && ci.upper >= ci.lower);
-    let r = server.execute(&Query::Proportion { items });
-    let QueryAnswer::Estimate { estimate, .. } = r.answer else {
+    let QueryAnswer::Estimate { estimate, .. } =
+        answer_query(&window, &Query::Proportion { items }, 0.95)
+    else {
         panic!("proportion must answer with an estimate")
     };
     assert!((estimate.sum - 1.0 / 3.0).abs() < 0.15, "proportion {}", estimate.sum);
-    let QueryAnswer::Items(top) = server.execute(&Query::TopK { k: 5 }).answer else {
+    let QueryAnswer::Items(top) = answer_query(&window, &Query::TopK { k: 5 }, 0.95) else {
         panic!("top-k must answer with items")
     };
     assert_eq!(top.len(), 5);
     let QueryAnswer::Items(heavy) =
-        server.execute(&Query::FrequentItems { phi: 0.02 }).answer
+        answer_query(&window, &Query::FrequentItems { phi: 0.02 }, 0.95)
     else {
         panic!("frequent items must answer with items")
     };
     assert!(!heavy.is_empty());
-    let QueryAnswer::Rank(rank) = server.execute(&Query::RankQuantile { q: 0.0 }).answer
+    let QueryAnswer::Rank(rank) = answer_query(&window, &Query::RankQuantile { q: 0.0 }, 0.95)
     else {
         panic!("rank quantile must answer with a rank")
     };
     assert!(rank.is_some());
-    let groups = server.marginals(|item| Some(item % 3));
+    let groups = window.marginals(|item| Some(item % 3));
     assert_eq!(groups.len(), 3);
     let group_mass: f64 = groups.iter().map(|(_, e)| e.sum).sum();
     assert!((group_mass - expected_rows as f64).abs() < 1e-6);
-    drop(server);
     let _ = engine.finish();
 }
 
@@ -490,14 +484,14 @@ fn multi_shard_wide_range_answers_are_exact_in_rows_and_mass_and_unbiased() {
             "seed {seed}: mass {mass} vs rows {range_rows}"
         );
         estimates.push(folded.estimate(7));
-        let server = QueryServer::new(engine.range_source(range), QueryServerConfig::new());
-        let r = server.execute(&Query::SubsetSum { items: subset.clone() });
-        assert_eq!(r.rows, range_rows);
-        let QueryAnswer::Estimate { ci, .. } = r.answer else {
+        let captured = engine.range_capture(&range);
+        assert_eq!(captured.rows_processed(), range_rows);
+        let QueryAnswer::Estimate { ci, .. } =
+            answer_query(&captured, &Query::SubsetSum { items: subset.clone() }, 0.95)
+        else {
             panic!("subset sum must answer with an estimate")
         };
         covered += u64::from(ci.contains(subset_truth));
-        drop(server);
         let _ = engine.finish();
     }
     let n = estimates.len() as f64;
@@ -745,10 +739,10 @@ fn per_bucket_runs_are_bit_identical_to_row_by_row_offers() {
 
 #[test]
 fn degenerate_ranges_serve_every_query_variant_with_finite_zeros() {
-    // The range path's empty-snapshot contract: a served range that resolves
+    // The range path's empty-snapshot contract: a captured range that resolves
     // to no buckets (end <= start, or entirely before history) must answer
     // all five query variants with finite zeros — never NaN, never a panic —
-    // exactly like a server over a 0-row source.
+    // exactly like a 0-row snapshot.
     let engine = TemporalIngestEngine::new(TemporalConfig::new(2, 32, 3, 10, 6));
     let mut handle = engine.handle();
     for ts in 60u64..120 {
@@ -762,15 +756,14 @@ fn degenerate_ranges_serve_every_query_variant_with_finite_zeros() {
         // Pre-history: resolvable, but no retained bucket overlaps it.
         TimeRange::Between { start: 0, end: 30 },
     ] {
-        let server = QueryServer::new(engine.range_source(range), QueryServerConfig::new());
+        let snap = engine.range_capture(&range);
+        assert_eq!(snap.rows_processed(), 0, "{range:?}");
         let items: Vec<u64> = vec![1, 2, 3];
         for query in [
             Query::SubsetSum { items: items.clone() },
             Query::Proportion { items: items.clone() },
         ] {
-            let response = server.execute(&query);
-            assert_eq!(response.rows, 0, "{range:?} {query:?}");
-            let QueryAnswer::Estimate { estimate, ci } = response.answer else {
+            let QueryAnswer::Estimate { estimate, ci } = answer_query(&snap, &query, 0.95) else {
                 panic!("{range:?} {query:?} must answer with an estimate")
             };
             assert_eq!(estimate.sum, 0.0, "{range:?} {query:?}");
@@ -779,21 +772,21 @@ fn degenerate_ranges_serve_every_query_variant_with_finite_zeros() {
             assert_eq!((ci.lower, ci.upper), (0.0, 0.0), "{range:?} {query:?}");
         }
         assert_eq!(
-            server.execute(&Query::TopK { k: 5 }).answer,
+            answer_query(&snap, &Query::TopK { k: 5 }, 0.95),
             QueryAnswer::Items(vec![]),
             "{range:?}"
         );
         assert_eq!(
-            server.execute(&Query::FrequentItems { phi: 0.01 }).answer,
+            answer_query(&snap, &Query::FrequentItems { phi: 0.01 }, 0.95),
             QueryAnswer::Items(vec![]),
             "{range:?}"
         );
         assert_eq!(
-            server.execute(&Query::RankQuantile { q: 0.5 }).answer,
+            answer_query(&snap, &Query::RankQuantile { q: 0.5 }, 0.95),
             QueryAnswer::Rank(None),
             "{range:?}"
         );
-        assert!(server.marginals(|item| Some(item % 4)).is_empty(), "{range:?}");
+        assert!(snap.marginals(|item| Some(item % 4)).is_empty(), "{range:?}");
     }
     let _ = engine.finish();
 }
@@ -879,8 +872,9 @@ fn ladder_bearing_checkpoint_restore_continues_bit_compatibly() {
 
 #[test]
 fn decayed_sketch_serves_through_the_query_layer() {
-    // The smooth-decay alternative to hard windows: a DecayedSpaceSaving behind
-    // the unchanged QueryServer, shared with a producer through an RwLock.
+    // The smooth-decay alternative to hard windows: a DecayedSpaceSaving shared
+    // with a producer through an RwLock, captured at its last update time and
+    // answered through the same typed queries.
     let shared = Arc::new(parking_lot::RwLock::new(DecayedSpaceSaving::with_seed(
         64, 0.01, 3,
     )));
@@ -892,31 +886,35 @@ fn decayed_sketch_serves_through_the_query_layer() {
             }
         }
     }
-    let server = QueryServer::new(
-        Arc::clone(&shared),
-        QueryServerConfig::new().refresh_every_rows(1),
-    );
-    // The served snapshot is the decayed state at the last update time.
+    let capture = || {
+        let sketch = shared.read();
+        sketch.snapshot_at(sketch.last_time())
+    };
+    // The captured snapshot is the decayed state at the last update time.
+    let snap = capture();
     let direct = shared.read().snapshot_at(shared.read().last_time());
-    assert_eq!(server.top_k(5), direct.top_k(5));
-    let QueryAnswer::Estimate { estimate, ci } = server
-        .execute(&Query::SubsetSum { items: (0..5).collect() })
-        .answer
+    assert_eq!(
+        answer_query(&snap, &Query::TopK { k: 5 }, 0.95),
+        QueryAnswer::Items(direct.top_k(5))
+    );
+    let QueryAnswer::Estimate { estimate, ci } =
+        answer_query(&snap, &Query::SubsetSum { items: (0..5).collect() }, 0.95)
     else {
         panic!("subset sum must answer with an estimate")
     };
     assert!(estimate.sum > 0.0 && ci.upper >= ci.lower);
     // Recency: a new heavy item offered much later dominates the decayed top-k
-    // after a refresh, even though older items have more raw occurrences.
+    // of a fresh capture, even though older items have more raw occurrences.
     {
         let mut sketch = shared.write();
         for _ in 0..300 {
             sketch.offer_at(777, 900.0);
         }
     }
-    assert_eq!(server.top_k(1)[0].0, 777);
-    let rank = server.execute(&Query::RankQuantile { q: 0.0 }).answer;
-    assert_eq!(rank, QueryAnswer::Rank(Some(server.top_k(1)[0])));
+    let snap = capture();
+    assert_eq!(snap.top_k(1)[0].0, 777);
+    let rank = answer_query(&snap, &Query::RankQuantile { q: 0.0 }, 0.95);
+    assert_eq!(rank, QueryAnswer::Rank(Some(snap.top_k(1)[0])));
 }
 
 #[test]
@@ -925,7 +923,7 @@ fn decayed_capture_normalises_min_count_consistently() {
     for i in 0..200u64 {
         sketch.offer_at(i % 20, i as f64 * 0.5);
     }
-    let snap = sketch.capture();
+    let snap = sketch.snapshot_at(sketch.last_time());
     // min_count must be in the same (decayed) units as the entries: no entry
     // may fall below it minus float noise.
     let min_entry = snap

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use crate::metrics::{BucketedSeries, EstimateAccumulator};
 use crate::report::{fmt_num, Table};
 use uss_core::hash::FxHashMap;
-use uss_core::{QueryServer, QueryServerConfig, StreamSketch, UnbiasedSpaceSaving};
+use uss_core::{StreamSketch, UnbiasedSpaceSaving};
 use uss_sampling::priority::priority_sample;
 use uss_sampling::WeightedItem;
 use uss_workloads::{AdClickConfig, AdClickGenerator, Impression, NUM_FEATURES};
@@ -227,7 +227,7 @@ pub fn run(config: &MarginalsConfig) -> MarginalsResult {
     for rep in 0..config.reps {
         let rep_seed = config.seed.wrapping_add(rep as u64).wrapping_mul(0x9E37);
         // Unbiased Space Saving over the disaggregated tuple stream, queried
-        // through the serving layer: one keyed marginal roll-up per feature
+        // through its snapshot: one keyed marginal roll-up per feature
         // combination (the group-by form of the paper's Figure 6 workload), then a
         // table lookup per marginal query. Summation per key follows sketch entry
         // order, so the estimates are bit-identical to predicate subset sums.
@@ -235,11 +235,11 @@ pub fn run(config: &MarginalsConfig) -> MarginalsResult {
         for &key in &rows {
             sketch.offer(key);
         }
-        let server = QueryServer::new(sketch, QueryServerConfig::new());
+        let snapshot = sketch.snapshot();
         let marginal_tables: Vec<FxHashMap<Vec<u32>, f64>> = combos
             .iter()
             .map(|combo| {
-                server
+                snapshot
                     .marginals(|item| {
                         tuple_features.get(&item).map(|features| {
                             combo.iter().map(|&f| features[f]).collect::<Vec<u32>>()

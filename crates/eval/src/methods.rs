@@ -12,9 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use uss_baselines::AdaptiveSampleAndHold;
-use uss_core::{
-    DeterministicSpaceSaving, QueryServer, QueryServerConfig, StreamSketch, UnbiasedSpaceSaving,
-};
+use uss_core::{DeterministicSpaceSaving, StreamSketch, UnbiasedSpaceSaving};
 use uss_sampling::priority::priority_sample;
 use uss_sampling::{BottomKSketch, WeightedItem};
 
@@ -82,12 +80,10 @@ impl Method {
             Method::UnbiasedSpaceSaving => {
                 let mut sketch = UnbiasedSpaceSaving::with_seed(bins, seed);
                 sketch.offer_batch(rows);
-                // Query through the serving layer — the same read path production
-                // code uses — rather than against a hand-built snapshot.
-                let server = QueryServer::new(sketch, QueryServerConfig::new());
+                let snapshot = sketch.snapshot();
                 subsets
                     .iter()
-                    .map(|s| server.subset_estimate(s).0.sum)
+                    .map(|s| snapshot.subset_estimate_items(s).sum)
                     .collect()
             }
             Method::DeterministicSpaceSaving => {

@@ -233,7 +233,7 @@ impl SketchClient {
 
     /// Evaluates one typed query over a time range at the given confidence.
     /// The answer is bit-identical to what an in-process
-    /// [`uss_core::QueryServer`] would produce from the same range snapshot.
+    /// [`uss_core::answer_query`] produces from the same range snapshot.
     ///
     /// # Errors
     ///

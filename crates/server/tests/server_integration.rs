@@ -1,5 +1,5 @@
 //! Integration tests for the sketch daemon: wire answers must be bit-identical
-//! to in-process `QueryServer` answers, concurrent clients must conserve mass,
+//! to in-process `answer_query` answers, concurrent clients must conserve mass,
 //! a deliberately-killed worker must degrade to a typed error frame instead of
 //! killing the daemon, and checkpoint-on-shutdown / restore-on-boot must
 //! round-trip the registry.
@@ -7,10 +7,7 @@
 use std::time::Duration;
 
 use uss_core::persist::TemporalMeta;
-use uss_core::{
-    answer_query, Query, QueryAnswer, QueryServer, QueryServerConfig,
-    TemporalIngestEngine, TimeRange,
-};
+use uss_core::{answer_query, Query, QueryAnswer, TemporalIngestEngine, TimeRange};
 use uss_server::{ClientError, ErrorCode, ServerConfig, SketchClient, SketchServer};
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -59,17 +56,13 @@ fn wire_answers_are_bit_identical_to_in_process_query_server() {
     assert_eq!(client.ingest("clicks", &stream_rows).unwrap(), 20_000);
 
     // The reference: an in-process engine with the identical config and seed,
-    // fed the identical rows, served by an in-process QueryServer over the
-    // identical time range.
+    // fed the identical rows, answered in process over the identical time
+    // range.
     let config = spec(2, seed).to_config().unwrap();
     let local = TemporalIngestEngine::try_new(config).unwrap();
     let mut handle = local.handle();
     handle.offer_batch_at(&stream_rows);
     handle.flush();
-    let query_server = QueryServer::new(
-        local.range_source(TimeRange::All),
-        QueryServerConfig::new().confidence(0.95),
-    );
 
     let queries = [
         Query::SubsetSum {
@@ -84,9 +77,9 @@ fn wire_answers_are_bit_identical_to_in_process_query_server() {
     ];
     for query in &queries {
         let (wire_rows, wire_answer) = client.query("clicks", &TimeRange::All, query).unwrap();
-        let local_response = query_server.execute(query);
-        assert_eq!(wire_rows, local_response.rows, "rows for {query:?}");
-        assert_eq!(wire_answer, local_response.answer, "answer for {query:?}");
+        let local_all = local.range_capture(&TimeRange::All);
+        assert_eq!(wire_rows, local_all.rows_processed(), "rows for {query:?}");
+        assert_eq!(wire_answer, answer_query(&local_all, query, 0.95), "answer for {query:?}");
     }
 
     // Sub-range queries answer bit-identically too (both sides fold the same

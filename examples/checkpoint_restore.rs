@@ -4,8 +4,8 @@
 //! summaries, and yesterday's shard files should still answer queries today. This
 //! example walks the whole durability story: feed a [`ShardedIngestEngine`],
 //! checkpoint it to disk mid-stream, "crash" the process, restore and finish the
-//! stream, then serve both the live result and a cold snapshot file through the
-//! same [`QueryServer`] — and finally fold per-node shard files with
+//! stream, then answer typed queries on both the live result and a cold snapshot
+//! file through the same `answer_query` — and finally fold per-node shard files with
 //! `merge_files`, the multi-node shard-shipping path.
 //!
 //! Run with:
@@ -61,15 +61,17 @@ fn main() {
     println!("final sketch covers {} rows", merged.rows_processed());
 
     // 5. Persist the merged result as a cold snapshot and serve it tomorrow: a
-    //    ColdSnapshot is a SnapshotSource like any live engine, so the QueryServer
-    //    API is unchanged — and its answers are bit-identical to serving the
-    //    in-memory snapshot.
+    //    ColdSnapshot holds the same SketchSnapshot a live capture does, so the
+    //    typed-query API is unchanged — and its answers are bit-identical to the
+    //    in-memory snapshot's.
+    let live = merged.snapshot();
     let snap_path = dir.join("day-0.uss");
-    persist::save_snapshot(&snap_path, &merged.snapshot()).unwrap();
+    persist::save_snapshot(&snap_path, &live).unwrap();
     let cold = ColdSnapshot::open(&snap_path).unwrap();
-    let server = QueryServer::new(cold, QueryServerConfig::new());
-    let response = server.execute(&Query::SubsetSum { items: (0..100).collect() });
-    if let QueryAnswer::Estimate { estimate, ci } = response.answer {
+    let query = Query::SubsetSum { items: (0..100).collect() };
+    let answer = answer_query(cold.snapshot(), &query, 0.95);
+    assert_eq!(answer, answer_query(&live, &query, 0.95));
+    if let QueryAnswer::Estimate { estimate, ci } = answer {
         println!(
             "cold-served heavy-head estimate: {:.0} (95% CI [{:.0}, {:.0}])",
             estimate.sum, ci.lower, ci.upper

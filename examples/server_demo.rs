@@ -63,7 +63,7 @@ fn main() {
     t.join().unwrap();
 
     // 4. The full query surface over the wire: every answer is bit-identical
-    //    to what an in-process QueryServer would produce on the same snapshot.
+    //    to what in-process `answer_query` produces on the same snapshot.
     let (rows, answer) = clicks
         .query("clicks", &TimeRange::All, &Query::TopK { k: 5 })
         .unwrap();

@@ -4,7 +4,8 @@
 //!
 //! Three producer threads emit timestamped events whose hot set *changes over
 //! time* (each 100-tick phase promotes a different block of keys). A reader
-//! polls a [`QueryServer`] over the last few buckets: the sliding window tracks
+//! polls typed queries over the last few buckets, capturing the window afresh
+//! each poll and answering through `answer_query`: the sliding window tracks
 //! the current phase's hot keys, while a whole-history query still answers —
 //! coarser with age — from the same engine. This is the workload shape the
 //! whole-stream sketches cannot express: "top-k over the last hour" next to
@@ -54,20 +55,15 @@ fn main() {
         }
 
         // Reader: poll the sliding window while producers are still running.
-        let server = QueryServer::new(
-            engine.range_source(TimeRange::LastBuckets(3)),
-            QueryServerConfig::new().refresh_every_rows(5_000),
-        );
         for poll in 0..5 {
             std::thread::sleep(std::time::Duration::from_millis(30));
-            let response = server.execute(&Query::TopK { k: 3 });
-            let QueryAnswer::Items(top) = &response.answer else {
+            let window = engine.range_capture(&TimeRange::LastBuckets(3));
+            let QueryAnswer::Items(top) = answer_query(&window, &Query::TopK { k: 3 }, 0.95) else {
                 unreachable!("top-k answers with items")
             };
             println!(
-                "poll {poll}: epoch {} over {} in-window rows, top-3 = {:?}",
-                response.epoch,
-                response.rows,
+                "poll {poll}: {} in-window rows, top-3 = {:?}",
+                window.rows_processed(),
                 top.iter().map(|(i, c)| (*i, c.round())).collect::<Vec<_>>()
             );
         }
@@ -87,11 +83,8 @@ fn main() {
     );
 
     // Per-key marginals over the window: group the hot blocks by phase.
-    let server = QueryServer::new(
-        engine.range_source(TimeRange::LastBuckets(3)),
-        QueryServerConfig::new(),
-    );
-    let phases_seen = server.marginals(|item| (item < 10_000).then_some(item / 1_000));
+    let window = engine.range_capture(&TimeRange::LastBuckets(3));
+    let phases_seen = window.marginals(|item| (item < 10_000).then_some(item / 1_000));
     println!("\nper-phase marginals inside the window (sum ± std dev):");
     for (phase, estimate) in &phases_seen {
         println!(
@@ -110,6 +103,5 @@ fn main() {
         all.rows_processed()
     );
     assert_eq!(all.rows_processed(), total_rows);
-    drop(server);
     let _ = engine.finish();
 }

@@ -4,26 +4,25 @@
 //! after-the-fact subset-sum queries *unbiasedly* (Theorems 1–2) with a computable
 //! variance (equation 5) whose Normal confidence intervals achieve roughly nominal
 //! empirical coverage wherever the CLT applies (section 6.5, Figure 8). These tests
-//! enforce both claims empirically, through the production read path (the
-//! [`QueryServer`] layer), over 200 independently seeded runs per workload:
+//! enforce both claims empirically, through the production read path (typed
+//! queries over a captured snapshot), over 200 independently seeded runs per
+//! workload:
 //!
 //! * **Coverage**: the empirical coverage of 90/95/99% intervals must bracket the
 //!   nominal level on three zipf workloads — in particular 95% coverage must land in
 //!   [92%, 98%].
 //! * **Unbiasedness**: the mean relative error over the 200 runs, studentized by its
 //!   standard error, must pass a z-test at |z| < 3.5.
-//! * **Concurrent serving**: ≥4 reader threads querying a [`QueryServer`] while ≥2
-//!   producers ingest must only ever observe complete epochs (mass conservation holds
-//!   exactly within every answer's snapshot, epochs are monotone per reader) and end
-//!   with accurate answers.
+//! * **Concurrent reading**: ≥4 reader threads capturing snapshots of a live engine
+//!   while ≥2 producers ingest must only ever observe complete snapshots (mass
+//!   conservation holds exactly within every capture, row counts are monotone per
+//!   reader) and end with accurate answers.
 //!
 //! The suite derives its RNG streams from `PROPTEST_RNG_SEED` (the same knob the
 //! property tests use). CI pins the matrix {0, 1, 2}; the streams are reduced modulo
 //! 3 because the coverage brackets are *statistical* statements validated for those
 //! three streams — an arbitrary stream could fall a seed or two outside the tight
 //! brackets even with a correct estimator, which would surface as a fake failure.
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,7 +104,7 @@ struct CoverageOutcome {
 }
 
 /// Runs one workload over `SEEDS` independently shuffled streams and sketch seeds,
-/// querying through a [`QueryServer`] each time.
+/// querying a captured snapshot each time.
 fn run_workload(w: &Workload, base: u64) -> CoverageOutcome {
     let counts = FrequencyDistribution::Zipf {
         exponent: w.exponent,
@@ -125,8 +124,7 @@ fn run_workload(w: &Workload, base: u64) -> CoverageOutcome {
         let rows = shuffled_stream(&counts, &mut rng);
         let mut sketch = UnbiasedSpaceSaving::with_seed(w.bins, s ^ 0xABCD_EF01);
         sketch.offer_batch(&rows);
-        let server = QueryServer::new(sketch, QueryServerConfig::new());
-        let (estimate, _) = server.subset_estimate(&subset);
+        let estimate = sketch.snapshot().subset_estimate_items(&subset);
         relative_errors.push((estimate.sum - truth) / truth);
         for (k, &(level, _, _)) in LEVELS.iter().enumerate() {
             if estimate.confidence_interval(level).contains(truth) {
@@ -188,11 +186,11 @@ fn coverage_and_unbiasedness_zipf_mid_skew() {
     assert_coverage_and_unbiasedness(2);
 }
 
-/// The acceptance scenario: a `QueryServer` over a live engine serves subset-sum and
-/// top-k answers (with confidence intervals) to 4 concurrent reader threads while 2
-/// producers ingest. Readers may only ever observe *complete* epochs: within every
-/// answered snapshot the Space Saving mass-conservation invariant must hold exactly,
-/// and epochs must be monotone per reader.
+/// The acceptance scenario: 4 concurrent reader threads capture snapshots of a
+/// live engine and answer subset-sum and top-k queries (with confidence
+/// intervals) while 2 producers ingest. Readers may only ever observe *complete*
+/// snapshots: within every capture the Space Saving mass-conservation invariant
+/// must hold exactly, and row counts must be monotone per reader.
 #[test]
 fn concurrent_readers_observe_complete_epochs_and_accurate_answers() {
     const PRODUCERS: usize = 2;
@@ -217,11 +215,6 @@ fn concurrent_readers_observe_complete_epochs_and_accurate_answers() {
     let engine = ShardedIngestEngine::new(
         EngineConfig::new(2, 400, base ^ 0x5EED).with_batch_rows(1_024),
     );
-    let server = QueryServer::new(
-        &engine,
-        QueryServerConfig::new().refresh_every_rows(20_000),
-    );
-    let ingest_done = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         for slice in rows.chunks(rows.len().div_ceil(PRODUCERS)) {
@@ -231,70 +224,63 @@ fn concurrent_readers_observe_complete_epochs_and_accurate_answers() {
             });
         }
         for reader in 0..READERS {
-            let server = &server;
-            let ingest_done = &ingest_done;
+            let engine = &engine;
             let segment = &segment;
             scope.spawn(move || {
-                let mut last_epoch = 0u64;
-                let mut served_queries = 0usize;
-                while served_queries < QUERIES_PER_READER {
-                    // Alternate the typed query forms across readers.
-                    let response = if (served_queries + reader).is_multiple_of(2) {
-                        server.execute(&Query::SubsetSum {
-                            items: segment.clone(),
-                        })
-                    } else {
-                        server.execute(&Query::TopK { k: 10 })
-                    };
-                    // Epochs are monotone per reader.
+                let mut last_rows = 0u64;
+                for served_queries in 0..QUERIES_PER_READER {
+                    let snap = engine.snapshot().snapshot();
+                    // Row counts are monotone per reader.
                     assert!(
-                        response.epoch >= last_epoch,
-                        "reader {reader}: epoch went backwards ({last_epoch} -> {})",
-                        response.epoch
+                        snap.rows_processed() >= last_rows,
+                        "reader {reader}: rows went backwards ({last_rows} -> {})",
+                        snap.rows_processed()
                     );
-                    last_epoch = response.epoch;
-                    // Every served snapshot is complete: mass conservation holds
-                    // exactly, and it never reports more rows than were ingested.
-                    let snap = server.current();
+                    last_rows = snap.rows_processed();
+                    // Every capture is complete: mass conservation holds exactly,
+                    // and it never reports more rows than were ingested.
                     let mass: f64 = snap.entries().iter().map(|(_, c)| c).sum();
                     assert!(
                         (mass - snap.rows_processed() as f64).abs()
                             <= 1e-6 * (snap.rows_processed() as f64).max(1.0),
-                        "reader {reader}: snapshot mass {mass} vs {} rows — a torn epoch",
+                        "reader {reader}: snapshot mass {mass} vs {} rows — a torn capture",
                         snap.rows_processed()
                     );
                     assert!(snap.rows_processed() <= total_rows);
-                    if let QueryAnswer::Estimate { estimate, ci } = &response.answer {
-                        assert!(ci.upper >= ci.lower);
-                        assert!(ci.contains(estimate.sum));
-                    }
-                    served_queries += 1;
-                    if ingest_done.load(Ordering::Relaxed) {
-                        // Producers are done: one final refresh below makes the
-                        // remaining iterations query the complete stream.
-                        server.refresh();
+                    // Alternate the typed query forms across readers.
+                    let query = if (served_queries + reader).is_multiple_of(2) {
+                        Query::SubsetSum {
+                            items: segment.clone(),
+                        }
+                    } else {
+                        Query::TopK { k: 10 }
+                    };
+                    match answer_query(&snap, &query, 0.95) {
+                        QueryAnswer::Estimate { estimate, ci } => {
+                            assert!(ci.upper >= ci.lower);
+                            assert!(ci.contains(estimate.sum));
+                        }
+                        QueryAnswer::Items(top) => assert!(top.len() <= 10),
+                        QueryAnswer::Rank(_) => unreachable!("no rank queries are asked"),
                     }
                 }
             });
         }
-        // The scope joins the producers before the flag store happens only if we set
-        // it from outside — so mark completion from a dedicated watcher thread
-        // spawned after the producers: it joins nothing, it just flips the flag when
-        // the engine has seen every row.
-        let ingest_done = &ingest_done;
-        let engine = &engine;
-        scope.spawn(move || {
-            while engine.rows_enqueued() < total_rows {
-                std::thread::yield_now();
-            }
-            ingest_done.store(true, Ordering::Relaxed);
-        });
     });
 
-    // All producers joined: fold the final state and check the served answers
+    // All producers joined: capture the final state and check the answers
     // against the truth.
-    server.refresh();
-    let (estimate, ci) = server.subset_estimate(&segment);
+    let snap = engine.snapshot().snapshot();
+    assert_eq!(snap.rows_processed(), total_rows);
+    let QueryAnswer::Estimate { estimate, ci } = answer_query(
+        &snap,
+        &Query::SubsetSum {
+            items: segment.clone(),
+        },
+        0.95,
+    ) else {
+        panic!("subset sum must answer with an estimate")
+    };
     let relative_error = (estimate.sum - segment_truth).abs() / segment_truth;
     assert!(
         relative_error < 0.1,
@@ -302,14 +288,13 @@ fn concurrent_readers_observe_complete_epochs_and_accurate_answers() {
         estimate.sum
     );
     assert!(ci.upper > ci.lower);
-    let top = server.top_k(5);
+    let top = snap.top_k(5);
     assert_eq!(top.len(), 5);
     assert_eq!(
         top[0].0, heaviest,
-        "the most frequent item must lead the served top-k"
+        "the most frequent item must lead the answered top-k"
     );
 
-    drop(server);
     let merged = engine.finish();
     assert_eq!(merged.rows_processed(), total_rows);
 }
