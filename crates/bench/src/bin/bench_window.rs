@@ -8,13 +8,14 @@
 //!    rotation + tier compaction on the ingest path);
 //! 2. `range_query_bN` — `range_snapshot` queries/s over one fixed range
 //!    spanning 1, 4, 16 or 64 fine buckets at a fixed ingest watermark. The
-//!    engine's range cache is bypassed, but for N > 1 every call after the
-//!    first is a **memo-served repeat**: each shard returns its memoized span
-//!    report and only the engine's cross-shard fold runs. `b1` is a raw
-//!    single-bucket fold every time (nothing to memoize);
+//!    engine's range cache is bypassed, so every call is a full fold: for
+//!    N > 1 each shard pre-merges its span's ladder nodes and boundary leaves
+//!    into one report (the nodes themselves are built by the first call and
+//!    reused), then the engine folds the shard reports. `b1` is a raw
+//!    single-bucket fold;
 //! 3. `range_query_b64_leaf` — the same 64-bucket range through the leaf-by-leaf
-//!    reference fold (`range_snapshot_leaf`), the pre-ladder baseline. It has
-//!    no memo, so every call folds all 64 buckets per shard;
+//!    reference fold (`range_snapshot_leaf`), the pre-ladder baseline: every
+//!    call folds all 64 buckets per shard;
 //! 4. `range_query_cached` — repeated captures of one range at a fixed ingest
 //!    watermark (the merged-range cache hit path);
 //! 5. `compaction` — `compact_fold`s/s over a `tier_factor`-bucket group, the
@@ -178,7 +179,7 @@ fn main() {
             description: if span == 1 {
                 "raw 1-bucket range folds, range cache bypassed (queries/s)".to_string()
             } else {
-                format!("memo-served {span}-bucket range repeats, range cache bypassed (queries/s)")
+                format!("{span}-bucket range folds over built ladder nodes, range cache bypassed (queries/s)")
             },
             ops: f64::from(queries),
             spread,

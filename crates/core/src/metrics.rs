@@ -634,8 +634,8 @@ pub struct TemporalMetrics {
     /// Merged-range cache misses (full fold performed).
     pub range_cache_misses: Counter,
     /// Entries fed to range-query folds: each shard span pre-merge's combined
-    /// list plus every report the engine folds. A shard span-memo hit adds no
-    /// pre-merge entries; a range-cache hit adds nothing.
+    /// list plus every report the engine folds. A range-cache hit adds
+    /// nothing.
     pub range_fold_entries: Counter,
 }
 

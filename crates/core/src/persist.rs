@@ -35,7 +35,7 @@
 //! | 5 `Decayed` | `lambda f64, landmark f64, last_time f64,` then a `Weighted` payload |
 //! | 6 `TemporalShard` | `shard u64,` temporal meta (7 × u64)`, late_rows u64, last_ts u64, f u64, f × (index u64, Unbiased payload), t u64, t × (k u64, k × tier bucket), terminal u8 [, tier bucket]` where a tier bucket is `start u64, end u64, rows u64, n u64, n × (item u64, count f64)` |
 //! | 7 `TemporalManifest` | temporal meta (7 × u64)`, snapshots u64, rows u64` |
-//! | 8 `TemporalLadderShard` | a `TemporalShard` payload, then `n u64, n × (level u64, tier bucket)` — the dyadic-ladder nodes, level 1 first, ascending starts within a level |
+//! | 8 `TemporalLadderShard` | a `TemporalShard` payload, then `n u64, n × (level u64, tier bucket)` — dyadic-ladder nodes; read for compatibility, nodes discarded, no longer written |
 //!
 //! The randomized sketches serialize their *full* state — the RNG (xoshiro256++
 //! words), the counter-structure layout (bucket chains for the integer sketch, the
@@ -178,11 +178,10 @@ sketch_kinds! {
     /// The temporal checkpoint manifest tying the bucket-ring files together.
     TemporalManifest = 7,
     /// A temporal bucket ring plus its dyadic range-merge ladder: a
-    /// [`Self::TemporalShard`] payload followed by the pre-merged ladder
-    /// nodes, so a restored shard serves wide ranges at full speed without
-    /// rebuilding the index first. Every node is revalidated against the ring
-    /// it covers on decode. Written by
-    /// [`crate::temporal::TemporalIngestEngine::checkpoint`].
+    /// [`Self::TemporalShard`] payload followed by pre-merged ladder nodes.
+    /// Written by checkpoints of older builds and no longer by any encoder;
+    /// [`decode_temporal_shard`] still reads it, parsing the nodes and
+    /// discarding them (the ladder is derived state, rebuilt from the ring).
     TemporalLadderShard = 8,
 }
 
@@ -1076,39 +1075,6 @@ fn read_tier_bucket(r: &mut PayloadReader<'_>) -> Result<TierBucket, PersistErro
     })
 }
 
-fn write_temporal_shard_payload(
-    w: &mut PayloadWriter,
-    shard: u64,
-    meta: TemporalMeta,
-    store: &WindowedSketchStore,
-) {
-    w.u64(shard);
-    write_temporal_meta(w, meta);
-    w.u64(store.late_rows());
-    w.u64(store.last_time());
-    let fine: Vec<_> = store.fine_sketches().collect();
-    w.u64(fine.len() as u64);
-    for (index, sketch) in fine {
-        w.u64(index);
-        write_unbiased_payload(w, sketch);
-    }
-    w.u64(meta.tiers);
-    for t in 0..store.config().tiers {
-        let buckets = store.tier_buckets(t);
-        w.u64(buckets.len() as u64);
-        for bucket in buckets {
-            write_tier_bucket(w, bucket);
-        }
-    }
-    match store.terminal_bucket() {
-        Some(bucket) => {
-            w.buf.push(1);
-            write_tier_bucket(w, bucket);
-        }
-        None => w.buf.push(0),
-    }
-}
-
 /// Encodes one temporal bucket-ring frame: a shard's complete
 /// [`WindowedSketchStore`] — fine buckets as full resumable unbiased payloads,
 /// compacted tiers and the terminal bucket as entry lists. `meta` must echo
@@ -1121,43 +1087,42 @@ pub fn encode_temporal_shard(
     store: &WindowedSketchStore,
 ) -> Vec<u8> {
     let mut w = PayloadWriter::new();
-    write_temporal_shard_payload(&mut w, shard, meta, store);
+    w.u64(shard);
+    write_temporal_meta(&mut w, meta);
+    w.u64(store.late_rows());
+    w.u64(store.last_time());
+    let fine: Vec<_> = store.fine_sketches().collect();
+    w.u64(fine.len() as u64);
+    for (index, sketch) in fine {
+        w.u64(index);
+        write_unbiased_payload(&mut w, sketch);
+    }
+    w.u64(meta.tiers);
+    for t in 0..store.config().tiers {
+        let buckets = store.tier_buckets(t);
+        w.u64(buckets.len() as u64);
+        for bucket in buckets {
+            write_tier_bucket(&mut w, bucket);
+        }
+    }
+    match store.terminal_bucket() {
+        Some(bucket) => {
+            w.buf.push(1);
+            write_tier_bucket(&mut w, bucket);
+        }
+        None => w.buf.push(0),
+    }
     seal(w, SketchKind::TemporalShard)
 }
 
-/// Encodes one temporal bucket-ring frame *with* its dyadic range-merge
-/// ladder ([`SketchKind::TemporalLadderShard`]): the full
-/// [`encode_temporal_shard`] payload followed by every pre-merged node (level
-/// 1 first, ascending starts within a level — a deterministic order, so two
-/// encodes of the same store are byte-identical). A restored shard then
-/// serves wide ranges at full speed immediately.
-#[must_use]
-pub fn encode_temporal_shard_indexed(
-    shard: u64,
-    meta: TemporalMeta,
-    store: &WindowedSketchStore,
-) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    write_temporal_shard_payload(&mut w, shard, meta, store);
-    let levels = store.ladder_levels();
-    let nodes: u64 = levels.iter().map(|level| level.len() as u64).sum();
-    w.u64(nodes);
-    for (idx, level) in levels.iter().enumerate() {
-        for node in level.values() {
-            w.u64(idx as u64 + 1);
-            write_tier_bucket(&mut w, node);
-        }
-    }
-    seal(w, SketchKind::TemporalLadderShard)
-}
-
-/// Decodes a temporal bucket-ring frame — with or without a dyadic ladder
-/// ([`SketchKind::TemporalShard`] or [`SketchKind::TemporalLadderShard`]) —
-/// into its shard position, engine identity and store. The store resumes
-/// bit-compatibly (fine buckets keep their RNG and counter-structure state);
-/// corrupted images — overlapping spans, out-of-order buckets, capacity
-/// violations, ladder nodes misaligned or disagreeing with the leaves they
-/// cover — are rejected as [`PersistError::Corrupt`], never a panic.
+/// Decodes a temporal bucket-ring frame ([`SketchKind::TemporalShard`], or a
+/// [`SketchKind::TemporalLadderShard`] from an older build) into its shard
+/// position, engine identity and store. The store resumes bit-compatibly
+/// (fine buckets keep their RNG and counter-structure state) with an empty
+/// dyadic ladder: a kind-8 frame's nodes are parsed under the same bounds
+/// checks as the rest of the payload and then discarded. Corrupted images —
+/// overlapping spans, out-of-order buckets, capacity violations — are
+/// rejected as [`PersistError::Corrupt`], never a panic.
 pub fn decode_temporal_shard(
     bytes: &[u8],
 ) -> Result<(u64, TemporalMeta, WindowedSketchStore), PersistError> {
@@ -1223,22 +1188,20 @@ pub fn decode_temporal_shard(
             )))
         }
     };
-    let ladder_nodes = if kind == SketchKind::TemporalLadderShard {
+    if kind == SketchKind::TemporalLadderShard {
         // Each node occupies at least its level word plus a tier bucket's
         // four fixed u64s.
         let n = r.count(40)?;
-        let mut nodes = Vec::with_capacity(n);
         for _ in 0..n {
             let level = r.u64()?;
-            let level: u32 = level.try_into().map_err(|_| {
-                PersistError::Corrupt(format!("ladder level {level} overflows a level index"))
-            })?;
-            nodes.push((level, read_tier_bucket(&mut r)?));
+            if u32::try_from(level).is_err() {
+                return Err(PersistError::Corrupt(format!(
+                    "ladder level {level} overflows a level index"
+                )));
+            }
+            read_tier_bucket(&mut r)?;
         }
-        nodes
-    } else {
-        Vec::new()
-    };
+    }
     r.finish()?;
     let config = WindowConfig {
         capacity: checked_capacity(meta.capacity)?,
@@ -1257,13 +1220,8 @@ pub fn decode_temporal_shard(
         })?,
         tiers: tiers_n,
     };
-    let mut store =
-        WindowedSketchStore::from_parts(config, fine, tiers, terminal, late_rows, last_ts)
-            .map_err(PersistError::Corrupt)?;
-    // Revalidated against the assembled ring: alignment, span-per-level, the
-    // sealed retained window, and exact rows/mass agreement with the covered
-    // fine leaves.
-    store.attach_ladder(ladder_nodes).map_err(PersistError::Corrupt)?;
+    let store = WindowedSketchStore::from_parts(config, fine, tiers, terminal, late_rows, last_ts)
+        .map_err(PersistError::Corrupt)?;
     Ok((shard, meta, store))
 }
 
@@ -1362,10 +1320,11 @@ pub fn load_weighted<P: AsRef<Path>>(path: P) -> Result<WeightedSpaceSaving, Per
 /// sketch (decayed files serve their state as of the last update), a single
 /// [`SketchKind::EngineShard`] file (served alone; use
 /// [`crate::distributed::DistributedSketcher::merge_files`] to fold a full shard
-/// set first), or a single [`SketchKind::TemporalShard`] /
-/// [`SketchKind::TemporalLadderShard`] bucket ring (served as the fold of its
-/// whole retained history). The file is read once at open time; serving never
-/// touches the filesystem again.
+/// set first), or a single [`SketchKind::TemporalShard`] bucket ring (or an
+/// older build's [`SketchKind::TemporalLadderShard`], whose ladder nodes are
+/// discarded on decode), served as the fold of its whole retained history.
+/// The file is read once at open time; serving never touches the filesystem
+/// again.
 #[derive(Debug, Clone)]
 pub struct ColdSnapshot {
     path: PathBuf,
@@ -1388,9 +1347,7 @@ impl ColdSnapshot {
             }
             SketchKind::TemporalShard | SketchKind::TemporalLadderShard => {
                 // Serve the shard's whole retained history: fold every bucket
-                // with the unbiased PPS merge under span-derived seeds. (The
-                // ladder nodes in a kind-8 frame are an index over the same
-                // buckets; the whole-history fold reads the buckets directly.)
+                // with the unbiased PPS merge under span-derived seeds.
                 let (shard, meta, store) = decode_temporal_shard(&bytes)?;
                 let seed = meta.seed.wrapping_add(shard);
                 store

@@ -77,8 +77,8 @@
 //! leaves + overlapping tier/terminal buckets) into a **single** span report:
 //! it sums them per item into a map pre-sized to their total entry count and
 //! hands that list straight to one [`crate::reduction::pps_reduce`] under a
-//! span-derived seed, so the report holds at most `capacity` entries. The
-//! report is memoized at the shard's applied-row watermark. The engine then
+//! span-derived seed, so the report holds at most `capacity` entries and a
+//! repeat over unchanged leaves reproduces it bit for bit. The engine then
 //! folds the one-report-per-shard set without a combine: items are routed by
 //! [`crate::engine::shard_of`], so shard reports are item-disjoint and are
 //! simply concatenated, reduced once more by PPS under the engine's salted
@@ -87,9 +87,9 @@
 //! restore refuses a shard file holding another shard's items). A wide-range
 //! query therefore costs O(shards) merge work instead of O(shards · window),
 //! flat in the span width. Reducing at the shards as well as at the engine
-//! keeps the serial engine reduction at O(shards · capacity) entries and the
-//! memo at `capacity` entries per span; reducing only at the engine would
-//! grow both with the distinct items of the span.
+//! keeps the serial engine reduction at O(shards · capacity) entries;
+//! reducing only at the engine would grow it with the distinct items of the
+//! span.
 //!
 //! Statistically nothing changes: every ladder node is produced by the same
 //! Theorem-2 PPS reduction as a tier compaction, so `E[node count] = `true
@@ -107,7 +107,10 @@
 //! The whole ring checkpoints and restores through [`crate::persist`] (one
 //! bucket-ring frame per shard plus a temporal manifest), bit-compatibly: fine
 //! buckets keep their RNG and counter-structure images, so a restored engine
-//! continues exactly as an uninterrupted one would.
+//! continues exactly as an uninterrupted one would. The ladder is not
+//! written: every node is a pure function of the leaves the frame already
+//! holds, so a restored store starts with an empty ladder, the idle builder
+//! refills it and query-time repair builds any node still missing.
 //!
 //! ```
 //! use uss_core::prelude::*;
@@ -444,11 +447,6 @@ struct FineBucket {
     sketch: UnbiasedSpaceSaving,
 }
 
-/// How many pre-merged span reports a store memoizes (keyed by the span and
-/// the applied-row watermark, so any ingest invalidates naturally). Matches
-/// the engine's merged-range cache: a dashboard polls a handful of ranges.
-const SPAN_MEMO_SLOTS: usize = 8;
-
 /// Deferred-compaction backlog bound: once this many expired-bucket reports
 /// are queued, each further expiry settles one inline so the debt (and its
 /// memory) stays bounded even when a worker never sees an idle slot.
@@ -490,16 +488,6 @@ impl DyadicLadder {
     }
 }
 
-/// One memoized pre-merged span report (see [`SPAN_MEMO_SLOTS`]).
-#[derive(Debug, Clone)]
-struct SpanMemo {
-    start: u64,
-    end: u64,
-    /// The store's applied-row count when the report was folded.
-    at_rows: u64,
-    report: BucketReport,
-}
-
 /// The RNG seed of the fine bucket at `index` in a store seeded `base_seed`.
 /// Bucket 0 uses `base_seed` itself so a one-bucket store is bit-identical to a
 /// plain sketch (and a one-bucket temporal engine to the non-temporal engine).
@@ -525,10 +513,9 @@ pub struct WindowedSketchStore {
     tiers: Vec<VecDeque<TierBucket>>,
     /// Everything older than the last tier, merged into one bucket.
     terminal: Option<TierBucket>,
-    /// The dyadic pre-merge index over the sealed fine buckets.
+    /// The dyadic pre-merge index over the sealed fine buckets. Derived
+    /// state: never persisted, rebuilt after a restore.
     ladder: DyadicLadder,
-    /// Memoized pre-merged span reports (never persisted; rebuilt on demand).
-    span_memo: VecDeque<SpanMemo>,
     /// Expired fine-bucket reports whose tier compaction is deferred (engine
     /// workers only; see [`set_defer_compaction`](Self::set_defer_compaction)).
     /// Always settled before any query, checkpoint or clone, so the queue is
@@ -568,7 +555,6 @@ impl WindowedSketchStore {
         Self {
             tiers: (0..config.tiers).map(|_| VecDeque::new()).collect(),
             ladder: DyadicLadder::new(ladder_max_level(config.fine_buckets)),
-            span_memo: VecDeque::new(),
             pending_expired: VecDeque::new(),
             defer_compaction: false,
             spare: None,
@@ -1094,85 +1080,6 @@ impl WindowedSketchStore {
         std::mem::size_of::<Self>() as u64 + sketches + reports
     }
 
-    /// The ladder nodes per level (level 1 first), for persistence.
-    pub(crate) fn ladder_levels(&self) -> &[BTreeMap<u64, TierBucket>] {
-        &self.ladder.levels
-    }
-
-    /// Attaches decoded ladder nodes to a freshly rebuilt store, revalidating
-    /// every structural invariant a live ladder maintains: aligned power-of-two
-    /// spans inside the sealed retained window, capacity-bounded finite
-    /// entries, no duplicates, and rows/mass agreeing exactly with the covered
-    /// fine leaves. An image violating any of these is corrupt.
-    pub(crate) fn attach_ladder(&mut self, nodes: Vec<(u32, TierBucket)>) -> Result<(), String> {
-        if nodes.is_empty() {
-            return Ok(());
-        }
-        let max_level = ladder_max_level(self.config.fine_buckets);
-        let Some(newest) = self.newest_bucket() else {
-            return Err("ladder nodes without any fine bucket".into());
-        };
-        let min_live = self.min_live(newest);
-        for (level, node) in nodes {
-            if level == 0 || level > max_level {
-                return Err(format!("ladder level {level} is outside 1..={max_level}"));
-            }
-            let len = 1u64 << level;
-            if node.start % len != 0 {
-                return Err("ladder node start is not aligned to its level".into());
-            }
-            if node.start.checked_add(len) != Some(node.end) {
-                return Err("ladder node span disagrees with its level".into());
-            }
-            if node.start < min_live || node.end > newest {
-                return Err("ladder node is outside the sealed retained window".into());
-            }
-            if node.entries.len() > self.config.capacity {
-                return Err(format!(
-                    "ladder node holds {} entries over capacity {}",
-                    node.entries.len(),
-                    self.config.capacity
-                ));
-            }
-            let mut node_mass = 0.0f64;
-            for &(_, c) in &node.entries {
-                if !c.is_finite() || c < 0.0 {
-                    return Err(format!(
-                        "ladder node count {c} must be finite and non-negative"
-                    ));
-                }
-                node_mass += c;
-            }
-            // A node is a mass-conserving fold of the leaves it covers.
-            let covered = self
-                .fine
-                .iter()
-                .filter(|f| f.index >= node.start && f.index < node.end);
-            let mut leaf_rows = 0u64;
-            let mut leaf_mass = 0.0f64;
-            for f in covered {
-                leaf_rows += f.sketch.rows_processed();
-                leaf_mass += f.sketch.entries().iter().map(|&(_, c)| c).sum::<f64>();
-            }
-            if node.rows != leaf_rows {
-                return Err(format!(
-                    "ladder node claims {} rows but its leaves hold {leaf_rows}",
-                    node.rows
-                ));
-            }
-            if (node_mass - leaf_mass).abs() > 1e-6 * leaf_mass.max(1.0) {
-                return Err(format!(
-                    "ladder node mass {node_mass} disagrees with its leaves' {leaf_mass}"
-                ));
-            }
-            let idx = (level - 1) as usize;
-            if self.ladder.levels[idx].insert(node.start, node).is_some() {
-                return Err("duplicate ladder node".into());
-            }
-        }
-        Ok(())
-    }
-
     /// Every retained bucket overlapping `[start, end)` with the fine window
     /// served through the dyadic ladder: overlapping terminal/tier buckets as
     /// in [`range_reports`](Self::range_reports), then the fine span covered
@@ -1251,19 +1158,11 @@ impl WindowedSketchStore {
     /// touching a single retained bucket return it raw (flag `true` —
     /// byte-identical to the leaf path); anything wider is pre-merged through
     /// the dyadic decomposition into a single span report — an exact per-item
-    /// sum reduced once by PPS under a deterministic span-derived seed —
-    /// memoized at the applied-row watermark.
+    /// sum reduced once by PPS under a deterministic span-derived seed, so
+    /// the same span over the same leaves always yields the same report.
     pub fn indexed_range_reports(&mut self, start: u64, end: u64) -> (Vec<BucketReport>, bool) {
         if start >= end {
             return (Vec::new(), true);
-        }
-        let at_rows = self.rows;
-        if let Some(memo) = self
-            .span_memo
-            .iter()
-            .find(|m| m.start == start && m.end == end && m.at_rows == at_rows)
-        {
-            return (vec![memo.report.clone()], false);
         }
         let (reports, raw) = self.range_reports_dyadic(start, end);
         if reports.len() <= 1 {
@@ -1286,15 +1185,6 @@ impl WindowedSketchStore {
             entries: pps_reduce(entries, self.config.capacity, &mut rng),
             rows,
         };
-        self.span_memo.push_back(SpanMemo {
-            start,
-            end,
-            at_rows,
-            report: report.clone(),
-        });
-        while self.span_memo.len() > SPAN_MEMO_SLOTS {
-            self.span_memo.pop_front();
-        }
         (vec![report], false)
     }
 
@@ -1321,8 +1211,8 @@ impl WindowedSketchStore {
         }
     }
 
-    /// The first retained item — in a fine bucket, a tier or terminal bucket,
-    /// or a ladder node — for which `stray` holds.
+    /// The first retained item — in a fine bucket or a tier or terminal
+    /// bucket — for which `stray` holds.
     fn find_item(&self, mut stray: impl FnMut(u64) -> bool) -> Option<u64> {
         let fine = self
             .fine
@@ -1333,7 +1223,6 @@ impl WindowedSketchStore {
             .iter()
             .flatten()
             .chain(&self.terminal)
-            .chain(self.ladder.levels.iter().flat_map(BTreeMap::values))
             .flat_map(|b| b.entries.iter().map(|&(item, _)| item));
         fine.chain(buckets).find(|&item| stray(item))
     }
@@ -1440,7 +1329,6 @@ impl WindowedSketchStore {
         }
         Ok(Self {
             ladder: DyadicLadder::new(ladder_max_level(config.fine_buckets)),
-            span_memo: VecDeque::new(),
             pending_expired: VecDeque::new(),
             defer_compaction: false,
             spare: None,
@@ -1608,10 +1496,6 @@ struct CacheSlot {
     start: u64,
     end: u64,
     rows: u64,
-    /// The engine incarnation that folded this slot. `rows_enqueued` restarts
-    /// relative to bucket contents across a checkpoint/restore, so a slot is
-    /// only valid within the incarnation whose watermark keyed it.
-    generation: u64,
     snapshot: Arc<SketchSnapshot>,
 }
 
@@ -1623,13 +1507,10 @@ pub struct TemporalIngestEngine {
     config: TemporalConfig,
     /// The shard runtime; its `max_time` drives [`TimeRange::LastBuckets`].
     runtime: ShardRuntime<TemporalShard>,
-    /// This incarnation's cache epoch (the snapshot counter at spawn): a fresh
-    /// engine starts at 0, a restored one at the manifest's counter. Tags
-    /// every [`CacheSlot`] so a slot keyed by another incarnation's
-    /// `rows_enqueued` watermark can never be served as a stale hit.
-    generation: u64,
     /// The merged-range cache: repeated range queries at the same ingest
-    /// watermark return the identical snapshot without re-folding.
+    /// watermark return the identical snapshot without re-folding. Each
+    /// incarnation (fresh or restored) starts with an empty one, so no slot
+    /// keyed by another incarnation's watermark can be served.
     range_cache: Mutex<VecDeque<CacheSlot>>,
     /// Stream-level temporal telemetry, shared by every shard's store.
     temporal_metrics: Arc<TemporalMetrics>,
@@ -1699,10 +1580,6 @@ impl TemporalIngestEngine {
         Self {
             config,
             runtime: ShardRuntime::spawn(states, ring_blocks, snapshots, rows_enqueued, max_time),
-            generation: snapshots,
-            // Every spawn (fresh or restored) starts with a cleared cache;
-            // the generation tag above guards even hypothetical slot reuse
-            // across incarnations.
             range_cache: Mutex::new(VecDeque::new()),
             temporal_metrics,
         }
@@ -1946,12 +1823,10 @@ impl TemporalIngestEngine {
             return Ok(Arc::new(self.empty_range_snapshot().snapshot()));
         }
         let rows = self.rows_enqueued();
-        let generation = self.generation;
+        let key = |s: &CacheSlot| s.start == start && s.end == end && s.rows == rows;
         {
             let cache = self.range_cache.lock();
-            if let Some(slot) = cache.iter().find(|s| {
-                s.start == start && s.end == end && s.rows == rows && s.generation == generation
-            }) {
+            if let Some(slot) = cache.iter().find(|s| key(s)) {
                 self.temporal_metrics.range_cache_hits.inc();
                 return Ok(Arc::clone(&slot.snapshot));
             }
@@ -1968,15 +1843,11 @@ impl TemporalIngestEngine {
         // instead of becoming a stale answer pinned to that watermark.
         if applied >= rows {
             let mut cache = self.range_cache.lock();
-            if !cache
-                .iter()
-                .any(|s| s.start == start && s.end == end && s.rows == rows)
-            {
+            if !cache.iter().any(key) {
                 cache.push_back(CacheSlot {
                     start,
                     end,
                     rows,
-                    generation,
                     snapshot: Arc::clone(&snapshot),
                 });
                 while cache.len() > RANGE_CACHE_SLOTS {
@@ -1989,8 +1860,9 @@ impl TemporalIngestEngine {
 
     /// Writes a durable checkpoint of the whole engine into `dir`: one
     /// bucket-ring file per shard (fine buckets with full RNG + structure
-    /// images, compacted tiers, the terminal bucket, and the dyadic-ladder
-    /// nodes built so far) plus a temporal manifest.
+    /// images, compacted tiers and the terminal bucket) plus a temporal
+    /// manifest. The dyadic ladder is derived state and is not written: a
+    /// restored engine rebuilds it.
     /// Quiesces each shard with a ring cut exactly as the non-temporal
     /// engine's checkpoint does; ingest continues afterwards.
     ///
@@ -2282,7 +2154,7 @@ mod worker {
             meta: persist::TemporalMeta,
             image: &WindowedSketchStore,
         ) -> Vec<u8> {
-            persist::encode_temporal_shard_indexed(shard, meta, image)
+            persist::encode_temporal_shard(shard, meta, image)
         }
 
         fn decode_shard(
@@ -2704,7 +2576,7 @@ mod tests {
         }
         assert_eq!(ladder_max_level(8), 2);
         assert_eq!(build_ladder(&mut s), 4);
-        for (idx, level) in s.ladder_levels().iter().enumerate() {
+        for (idx, level) in s.ladder.levels.iter().enumerate() {
             let len = 1u64 << (idx + 1);
             for (&start, node) in level {
                 assert_eq!(start % len, 0, "level {} start {start}", idx + 1);
@@ -2772,7 +2644,7 @@ mod tests {
         // and retire; [2,4) and [4,6) survive.
         s.offer_at(1, 9);
         assert_eq!(s.ladder_node_count(), 2);
-        for (idx, level) in s.ladder_levels().iter().enumerate() {
+        for (idx, level) in s.ladder.levels.iter().enumerate() {
             for (&start, node) in level {
                 assert!(start >= 2, "level {} node {start} escaped retirement", idx + 1);
                 assert_eq!(node.rows, leaf_rows(&s, node.start, node.end));
@@ -2798,12 +2670,12 @@ mod tests {
         assert!(!raw);
         assert_eq!(first.len(), 1, "wide spans answer with one span report");
         assert_eq!(first[0].rows, 16 * 15);
-        // Same span at the same watermark: the memo returns the identical
-        // report without re-merging.
+        // Same span over the same leaves: the span-derived seed reproduces
+        // the identical report.
         let (again, raw) = s.indexed_range_reports(0, 16);
         assert!(!raw);
         assert_eq!(again, first);
-        // Ingest moves the watermark; the memo self-invalidates.
+        // Ingest changes the leaves, and the report follows them.
         s.offer_at(7, 15);
         let (fresh, _) = s.indexed_range_reports(0, 16);
         assert_eq!(fresh[0].rows, 16 * 15 + 1);
@@ -2845,7 +2717,7 @@ mod tests {
     }
 
     #[test]
-    fn find_item_visits_fine_tier_terminal_and_ladder_entries() {
+    fn find_item_visits_fine_tier_and_terminal_entries() {
         // 2 fine buckets, one tier of factor 2: item 100+b of bucket b ends
         // in the terminal bucket [0, 2), tier bucket [2, 3) or fine 3 and 4.
         let mut s = store(1, 2, 1, 2);
@@ -2857,57 +2729,6 @@ mod tests {
             assert_eq!(s.find_item(|item| item == 100 + b), Some(100 + b), "bucket {b}");
         }
         assert_eq!(s.find_item(|item| item == 7), None);
-        // A ladder node is the only place an item may hide from the leaves.
-        let mut s = store(1, 8, 1, 2);
-        for ts in 0u64..8 {
-            s.offer_at(ts, ts);
-        }
-        let mut node = s.ladder_node_fold(
-            0,
-            2,
-            [0u64, 1].iter().filter_map(|&b| s.leaf_report(b)).collect(),
-        );
-        node.entries[0].0 = 999;
-        s.attach_ladder(vec![(1, node)]).unwrap();
-        assert_eq!(s.find_item(|item| item == 999), Some(999));
-    }
-
-    #[test]
-    fn attach_ladder_rejects_images_that_disagree_with_the_leaves() {
-        let mut s = store(1, 8, 1, 2);
-        for ts in 0u64..8 {
-            s.offer_at(ts, ts);
-        }
-        // A canonical node image attaches cleanly.
-        let good = s.ladder_node_fold(
-            0,
-            2,
-            [0u64, 1].iter().filter_map(|&b| s.leaf_report(b)).collect(),
-        );
-        assert!(s.attach_ladder(vec![(1, good.clone())]).is_ok());
-        // Duplicates, misalignment, bad levels, rows disagreeing with the
-        // leaves, and spans over the open bucket are all corrupt.
-        assert!(s.attach_ladder(vec![(1, good.clone())]).is_err(), "duplicate");
-        let mut s2 = store(1, 8, 1, 2);
-        for ts in 0u64..8 {
-            s2.offer_at(ts, ts);
-        }
-        let mut wrong_rows = good.clone();
-        wrong_rows.rows += 1;
-        assert!(s2.attach_ladder(vec![(1, wrong_rows)]).is_err(), "rows");
-        let mut misaligned = good.clone();
-        misaligned.start = 1;
-        misaligned.end = 3;
-        assert!(s2.attach_ladder(vec![(1, misaligned)]).is_err(), "alignment");
-        assert!(s2.attach_ladder(vec![(0, good.clone())]).is_err(), "level 0");
-        assert!(s2.attach_ladder(vec![(9, good.clone())]).is_err(), "level 9");
-        let open = TierBucket {
-            start: 6,
-            end: 8,
-            rows: leaf_rows(&s2, 6, 8),
-            entries: Vec::new(),
-        };
-        assert!(s2.attach_ladder(vec![(1, open)]).is_err(), "covers the open bucket");
     }
 
     #[test]

@@ -226,8 +226,8 @@ fn range_fold_entries_count_exactly_what_each_fold_takes_in() {
     //     d_s distinct items (sum D), the engine folds the D-entry
     //     concatenation -> 2D on a cache miss;
     //   - the same range again: a range-cache hit folds nothing;
-    //   - range_snapshot bypasses the cache but hits every shard's span memo,
-    //     so only the engine fold counts -> D;
+    //   - range_snapshot bypasses the cache, so the shards pre-merge again
+    //     and the engine folds again -> 2D;
     //   - one bucket is a raw report per shard; only the engine fold counts
     //     its D entries.
     const D: u64 = 40;
@@ -250,9 +250,9 @@ fn range_fold_entries_count_exactly_what_each_fold_takes_in() {
     let _ = engine.range_capture(&span);
     assert_eq!(folded.get(), 2 * D, "a cache hit folds nothing");
     let _ = engine.range_snapshot(&span);
-    assert_eq!(folded.get(), 3 * D, "span memo hits leave only the engine fold");
+    assert_eq!(folded.get(), 4 * D, "shard pre-merges plus the engine fold, again");
     let _ = engine.range_snapshot(&TimeRange::Between { start: 50, end: 60 });
-    assert_eq!(folded.get(), 4 * D, "a raw single-bucket fold");
+    assert_eq!(folded.get(), 5 * D, "a raw single-bucket fold");
     let _ = engine.finish();
 }
 

@@ -188,48 +188,6 @@ proptest! {
         prop_assert_eq!(store.last_time(), decoded.last_time());
     }
 
-    /// Ladder-bearing temporal frames (kind 8) round-trip to a store with the
-    /// identical dyadic ladder and keep behaving identically — and the codec
-    /// is canonical: re-encoding the decoded store yields the same bytes.
-    #[test]
-    fn temporal_ladder_shard_round_trip_is_byte_canonical(
-        stream in vec((0u64..120, 0u64..64), 1..400),
-        suffix in vec((0u64..120, 40u64..80), 0..150),
-        capacity in 1usize..16,
-        seed in any::<u64>(),
-    ) {
-        let config = TemporalConfig::new(1, capacity, seed, 4, 8).with_retention(2, 2);
-        let mut store = WindowedSketchStore::new(WindowConfig {
-            seed,
-            ..config.window
-        });
-        for &(item, ts) in &stream {
-            store.offer_at(item, ts);
-        }
-        // Build the ladder the way a queried shard would.
-        let _ = store.indexed_range_reports(0, u64::MAX);
-        let meta = persist::TemporalMeta::from_config(&config);
-        let bytes = persist::encode_temporal_shard_indexed(0, meta, &store);
-        prop_assert_eq!(
-            persist::peek_kind(&bytes).unwrap(),
-            persist::SketchKind::TemporalLadderShard
-        );
-        let (shard, back_meta, mut decoded) = persist::decode_temporal_shard(&bytes).unwrap();
-        prop_assert_eq!(shard, 0);
-        prop_assert_eq!(back_meta, meta);
-        prop_assert_eq!(decoded.ladder_node_count(), store.ladder_node_count());
-        prop_assert_eq!(persist::encode_temporal_shard_indexed(0, meta, &decoded), bytes);
-        for &(item, ts) in &suffix {
-            store.offer_at(item, ts);
-            decoded.offer_at(item, ts);
-        }
-        let fa: Vec<_> = store.fine_sketches().map(|(i, sk)| (i, sk.entries())).collect();
-        let fb: Vec<_> = decoded.fine_sketches().map(|(i, sk)| (i, sk.entries())).collect();
-        prop_assert_eq!(fa, fb);
-        prop_assert_eq!(store.late_rows(), decoded.late_rows());
-        prop_assert_eq!(store.last_time(), decoded.last_time());
-    }
-
     /// Truncating a valid decayed or temporal frame at any point yields an
     /// error, never a panic — the totality guarantee extends to the new kinds.
     #[test]
@@ -248,12 +206,10 @@ proptest! {
             decayed.offer_at(item, t);
             store.offer_at(item, ts);
         }
-        let _ = store.indexed_range_reports(0, u64::MAX);
         let meta = persist::TemporalMeta::from_config(&config);
         for bytes in [
             persist::encode_decayed(&decayed),
             persist::encode_temporal_shard(0, meta, &store),
-            persist::encode_temporal_shard_indexed(0, meta, &store),
         ] {
             let len = ((bytes.len() - 1) as f64 * cut) as usize;
             prop_assert!(persist::decode_decayed(&bytes[..len]).is_err());
@@ -280,12 +236,10 @@ proptest! {
             decayed.offer_at(item, t);
             store.offer_at(item, ts);
         }
-        let _ = store.indexed_range_reports(0, u64::MAX);
         let meta = persist::TemporalMeta::from_config(&config);
         for mut bytes in [
             persist::encode_decayed(&decayed),
             persist::encode_temporal_shard(0, meta, &store),
-            persist::encode_temporal_shard_indexed(0, meta, &store),
         ] {
             let idx = ((bytes.len() - 1) as f64 * byte_frac) as usize;
             bytes[idx] ^= 1 << bit;
@@ -334,5 +288,93 @@ proptest! {
         let _ = persist::decode_decayed(&bytes);
         let _ = persist::decode_temporal_shard(&bytes);
         let _ = persist::decode_temporal_manifest(&bytes);
+    }
+}
+
+/// A kind-8 [`persist::SketchKind::TemporalLadderShard`] frame, which builds
+/// up to commit 01bc1f2 wrote for every temporal checkpoint shard: a
+/// kind-6 `TemporalShard` payload followed by the dyadic-ladder nodes. It was
+/// generated at that commit from [`ladder_fixture_store`]'s store, after
+/// `store.indexed_range_reports(0, u64::MAX)` had built three level-1 nodes
+/// and one level-2 node, by that build's kind-8 encoder (since removed) with
+/// shard 0 and `TemporalMeta::from_config(&config)`.
+const LADDER_FRAME: &[u8] = include_bytes!("fixtures/temporal_ladder_shard.kind8.bin");
+
+/// The store the fixture was written from: capacity 4, width-4 buckets,
+/// 8 fine buckets (two ladder levels), two tiers of factor 2, 23 buckets of
+/// rows (so both tiers and the terminal bucket hold data) and one late row.
+fn ladder_fixture_store() -> (TemporalConfig, WindowedSketchStore) {
+    let config = TemporalConfig::new(1, 4, 0x5EED, 4, 8).with_retention(2, 2);
+    let mut store = WindowedSketchStore::new(config.window);
+    for i in 0u64..276 {
+        store.offer_at(i * 7 % 11, i / 3);
+    }
+    store.offer_at(3, 5);
+    (config, store)
+}
+
+/// A kind-8 frame from an older build still restores: its ladder nodes are
+/// discarded, the ring re-encodes as the kind-6 frame of the same store
+/// rebuilt today, and the restored store (ladder rebuilt on demand) keeps
+/// answering and ingesting exactly as that store does.
+#[test]
+fn retired_ladder_frame_decodes_to_the_plain_ring_it_carries() {
+    let (config, mut rebuilt) = ladder_fixture_store();
+    let meta = persist::TemporalMeta::from_config(&config);
+    assert_eq!(
+        persist::peek_kind(LADDER_FRAME).unwrap(),
+        persist::SketchKind::TemporalLadderShard
+    );
+    let (shard, back_meta, mut decoded) = persist::decode_temporal_shard(LADDER_FRAME).unwrap();
+    assert_eq!((shard, back_meta), (0, meta));
+    assert_eq!(decoded.ladder_node_count(), 0, "ladder nodes are discarded");
+    let plain = persist::encode_temporal_shard(0, meta, &decoded);
+    assert_eq!(
+        persist::peek_kind(&plain).unwrap(),
+        persist::SketchKind::TemporalShard
+    );
+    assert_eq!(plain, persist::encode_temporal_shard(0, meta, &rebuilt));
+
+    for (item, ts) in [(3, 90), (12, 91), (3, 92)] {
+        rebuilt.offer_at(item, ts);
+        decoded.offer_at(item, ts);
+    }
+    let wide_a = rebuilt.fold_range_indexed(0, u64::MAX, 1, 2);
+    let wide_b = decoded.fold_range_indexed(0, u64::MAX, 1, 2);
+    assert_eq!(wide_a.entries(), wide_b.entries());
+    assert_eq!(wide_a.rows_processed(), 276 + 1 + 3);
+    assert_eq!(
+        persist::encode_temporal_shard(0, meta, &decoded),
+        persist::encode_temporal_shard(0, meta, &rebuilt)
+    );
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/temporal_ladder_shard.kind8.bin"
+    );
+    let cold = persist::ColdSnapshot::open(path).unwrap();
+    assert_eq!(cold.snapshot().rows_processed(), 276 + 1);
+}
+
+/// Every truncation and every single-bit flip of the kind-8 fixture is an
+/// error, never a panic: decode stays total over the retired kind.
+#[test]
+fn retired_ladder_frame_truncations_and_bit_flips_always_error() {
+    for len in 0..LADDER_FRAME.len() {
+        assert!(
+            persist::decode_temporal_shard(&LADDER_FRAME[..len]).is_err(),
+            "cut at {len}"
+        );
+    }
+    let mut bytes = LADDER_FRAME.to_vec();
+    for idx in 0..bytes.len() {
+        for bit in 0..8 {
+            bytes[idx] ^= 1 << bit;
+            assert!(
+                persist::decode_temporal_shard(&bytes).is_err(),
+                "byte {idx} bit {bit}"
+            );
+            bytes[idx] ^= 1 << bit;
+        }
     }
 }

@@ -408,7 +408,7 @@ fn restore_rejects_an_item_checkpointed_on_the_wrong_shard() {
     handle.offer_batch_at(&rows);
     handle.flush();
     drop(handle);
-    let _ = engine.range_snapshot(&TimeRange::All); // checkpoint a built ladder too
+    let _ = engine.range_snapshot(&TimeRange::All); // checkpoint with a built ladder too
     engine.checkpoint(&dir).unwrap();
     let _ = engine.finish();
 
@@ -420,7 +420,7 @@ fn restore_rejects_an_item_checkpointed_on_the_wrong_shard() {
         let (index, meta, mut store) = persist::decode_temporal_shard(&pristine_shard).unwrap();
         // A fresh bucket, so the row cannot lose a full sketch's eviction draw.
         store.offer_at(item, store.last_time() + 5);
-        persist::write_file(&shard0, &persist::encode_temporal_shard_indexed(index, meta, &store))
+        persist::write_file(&shard0, &persist::encode_temporal_shard(index, meta, &store))
             .unwrap();
         let mut manifest = persist::decode_temporal_manifest(&pristine_manifest).unwrap();
         manifest.rows += 1;
@@ -793,12 +793,13 @@ fn degenerate_ranges_serve_every_query_variant_with_finite_zeros() {
 
 #[test]
 fn ladder_bearing_checkpoint_restore_continues_bit_compatibly() {
-    // A checkpoint taken mid-stream carries the dyadic-ladder nodes built so
-    // far (frame kind 8). The restored engine must continue bit-compatibly
-    // with the uninterrupted one across *wide* ranges — the answers that
-    // actually travel through the ladder and its span-derived seeds — and the
-    // range cache must never serve a pre-restore snapshot (its slots are
-    // generation-tagged; a fresh incarnation starts empty).
+    // A checkpoint taken mid-stream, after wide queries built ladder nodes,
+    // writes plain bucket rings (frame kind 6): the ladder is derived state.
+    // The restored engine, rebuilding its ladder on demand, must continue
+    // bit-compatibly with the uninterrupted one across *wide* ranges — the
+    // answers that actually travel through the ladder and its span-derived
+    // seeds — and the range cache must never serve a pre-restore snapshot
+    // (every incarnation starts with an empty cache).
     let dir = std::env::temp_dir().join(format!("uss-ladder-ckpt-{}", std::process::id()));
     let config = TemporalConfig::new(2, 32, 21, 5, 16)
         .with_retention(2, 2)
@@ -811,8 +812,8 @@ fn ladder_bearing_checkpoint_restore_continues_bit_compatibly() {
     handle.offer_batch_at(&first);
     handle.flush();
     // A wide pre-checkpoint query builds ladder nodes in every shard (and
-    // advances the salt counter), so the checkpoint is genuinely
-    // ladder-bearing. Cached too: the restored engine must not reuse it.
+    // advances the salt counter), so the checkpoint is taken with a built
+    // ladder. Cached too: the restored engine must not reuse it.
     let wide = TimeRange::LastBuckets(12);
     let pre = uninterrupted.range_capture(&wide);
     assert!(pre.rows_processed() > 0);
@@ -821,12 +822,12 @@ fn ladder_bearing_checkpoint_restore_continues_bit_compatibly() {
     handle.flush();
     drop(handle);
 
-    // The shard files really are the new ladder frame kind.
+    // The shard files are plain bucket rings, without the ladder.
     for shard in 0..config.shards {
         let bytes = std::fs::read(dir.join(TemporalIngestEngine::shard_file_name(shard))).unwrap();
         assert_eq!(
             uss_core::persist::peek_kind(&bytes).unwrap(),
-            uss_core::persist::SketchKind::TemporalLadderShard,
+            uss_core::persist::SketchKind::TemporalShard,
             "shard {shard}"
         );
     }
@@ -838,7 +839,7 @@ fn ladder_bearing_checkpoint_restore_continues_bit_compatibly() {
     let cb = restored.range_capture(&wide);
     assert_eq!(cb.rows_processed(), pre.rows_processed());
     assert_ne!(cb.entries(), pre.entries(), "restored capture replayed a stale slot");
-    // The fresh-generation cache works on its own terms.
+    // The fresh incarnation's cache works on its own terms.
     assert!(Arc::ptr_eq(&cb, &restored.range_capture(&wide)));
     // Keep the salt counters in step for the bit-compat comparison below.
     let _ = uninterrupted.range_snapshot(&wide);

@@ -3,10 +3,13 @@
 //! marginals while rows keep arriving.
 //!
 //! Three producer threads emit timestamped events whose hot set *changes over
-//! time* (each 100-tick phase promotes a different block of keys). A reader
-//! polls typed queries over the last few buckets, capturing the window afresh
-//! each poll and answering through `answer_query`: the sliding window tracks
-//! the current phase's hot keys, while a whole-history query still answers —
+//! time* (each 100-tick phase promotes a different block of keys). A barrier
+//! at each phase boundary paces them against a reader: once every producer has
+//! flushed a phase, the producers move on to the next phase while the reader
+//! polls typed queries over the last three buckets of the phase that just
+//! ended, capturing the window afresh each poll and answering through
+//! `answer_query`. The window tracks each phase's hot keys, while a
+//! whole-history query still answers —
 //! coarser with age — from the same engine. This is the workload shape the
 //! whole-stream sketches cannot express: "top-k over the last hour" next to
 //! "total since launch". Both widths are cheap: each shard serves ranges
@@ -19,55 +22,83 @@
 //! cargo run --release --example windowed_dashboard
 //! ```
 
+use std::sync::Barrier;
+
 use unbiased_space_saving::core::temporal::{TemporalConfig, TemporalIngestEngine, TimeRange};
 use unbiased_space_saving::prelude::*;
 
 fn main() {
-    // 10-tick buckets, 8 fine buckets retained, 2 retention tiers of factor 4:
-    // the engine holds at most 8 fine + 2·3 compacted + 1 terminal bucket per
-    // shard no matter how long it runs.
+    // 10-tick buckets, 16 fine buckets retained, 2 retention tiers of factor
+    // 4: the engine holds at most 16 fine + 2·3 compacted + 1 terminal bucket
+    // per shard no matter how long it runs. 16 fine buckets (160 ticks) keep a
+    // polled phase's last buckets fine while the producers run ahead through
+    // the whole next phase.
     let engine = TemporalIngestEngine::new(
-        TemporalConfig::new(2, 512, 42, 10, 8).with_retention(2, 4),
+        TemporalConfig::new(2, 512, 42, 10, 16).with_retention(2, 4),
     );
 
-    let phases = 5u64;
+    let phases = 6u64;
     let ticks_per_phase = 100u64;
+    let producers = 3u64;
+    // Crossed once per phase boundary by every producer and the reader.
+    let boundary = Barrier::new(producers as usize + 1);
+    let mut polls = Vec::new();
     std::thread::scope(|scope| {
         // Producers: each thread stamps rows with a shared logical clock and a
         // phase-dependent hot set (keys 1000·phase .. 1000·phase + 5 are hot).
-        for producer in 0..3u64 {
+        for producer in 0..producers {
             let mut handle = engine.handle();
+            let boundary = &boundary;
             scope.spawn(move || {
-                for tick in 0..phases * ticks_per_phase {
-                    let phase = tick / ticks_per_phase;
-                    for i in 0..40u64 {
-                        let item = if i < 20 {
-                            1_000 * phase + i % 5 // the phase's hot block
-                        } else {
-                            10_000 + (producer * 31 + tick * 7 + i) % 3_000 // long tail
-                        };
-                        handle.offer_at(item, tick);
+                for phase in 0..phases {
+                    for tick in phase * ticks_per_phase..(phase + 1) * ticks_per_phase {
+                        for i in 0..40u64 {
+                            let item = if i < 20 {
+                                1_000 * phase + i % 5 // the phase's hot block
+                            } else {
+                                10_000 + (producer * 31 + tick * 7 + i) % 3_000 // long tail
+                            };
+                            handle.offer_at(item, tick);
+                        }
+                    }
+                    // Send the phase's buffered rows before crossing the
+                    // boundary, so the reader's capture includes all of them.
+                    handle.flush();
+                    if phase + 1 < phases {
+                        boundary.wait();
                     }
                 }
-                // Handles flush on drop; be explicit anyway.
-                handle.flush();
             });
         }
 
-        // Reader: poll the sliding window while producers are still running.
-        for poll in 0..5 {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            let window = engine.range_capture(&TimeRange::LastBuckets(3));
+        // Reader: after each boundary but the last, poll the phase that just
+        // ended while the producers ingest the next one (they cannot pass the
+        // next boundary before this poll is done). Its last three buckets hold
+        // every producer's rows for 30 ticks and nothing newer.
+        for phase in 0..phases - 1 {
+            boundary.wait();
+            let end = (phase + 1) * ticks_per_phase;
+            let window = engine.range_capture(&TimeRange::Between { start: end - 30, end });
             let QueryAnswer::Items(top) = answer_query(&window, &Query::TopK { k: 3 }, 0.95) else {
                 unreachable!("top-k answers with items")
             };
             println!(
-                "poll {poll}: {} in-window rows, top-3 = {:?}",
+                "poll {phase}: {} in-window rows, top-3 = {:?}",
                 window.rows_processed(),
                 top.iter().map(|(i, c)| (*i, c.round())).collect::<Vec<_>>()
             );
+            // Checked after the scope: a panic here would leave the producers
+            // waiting at the barrier.
+            polls.push((phase, window.rows_processed(), top));
         }
     });
+    for (phase, rows, top) in &polls {
+        assert_eq!(*rows, producers * 30 * 40, "poll {phase}: in-window rows");
+        assert!(
+            top.iter().all(|(item, _)| item / 1_000 == *phase),
+            "poll {phase}: the top-3 must be phase {phase}'s hot block"
+        );
+    }
 
     // Producers are done. The final sliding window sees only the last phase's
     // hot block; the long tail and earlier phases' heroes have aged out of it.
@@ -97,7 +128,7 @@ fn main() {
     // The whole history still answers from the same engine — compacted tiers
     // serve the old phases at coarser resolution, nothing was dropped.
     let all = engine.range_snapshot(&TimeRange::All);
-    let total_rows = 3 * phases * ticks_per_phase * 40;
+    let total_rows = producers * phases * ticks_per_phase * 40;
     println!(
         "\nwhole-history rows: {} (expected {total_rows}), retained structures bounded",
         all.rows_processed()
